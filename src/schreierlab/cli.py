@@ -3,7 +3,7 @@ constructions, and the seeded verification suites.
 
 Exit codes: 0 success, 1 failed verification check, 2 parse/usage error,
 3 truncation (index set or partition not materialized far enough),
-4 oracle/size limit exceeded.
+4 oracle/size limit exceeded (float overflow included).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .intset import IntSet
-from .vectors import vector_from_json_obj
+from .vectors import scalar_from_json, vector_from_json_obj
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,16 +34,8 @@ EXIT_ORACLE = 4
 
 
 def _parse_p(text: str):
-    t = text.strip()
-    try:
-        if "/" in t:
-            f = Fraction(t)
-            return int(f) if f.denominator == 1 else f
-        if any(c in t for c in ".eE"):
-            return float(t)
-        return int(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"cannot parse exponent {text!r}") from exc
+    p = scalar_from_json(text)
+    return int(p) if isinstance(p, Fraction) and p.denominator == 1 else p
 
 
 def _parse_vec(text: str):
@@ -71,11 +63,7 @@ def _emit(obj) -> None:
 def _cmd_norm(args) -> int:
     x = _parse_vec(args.vec)
     p = _parse_p(args.p)
-    if args.space == "bp":
-        result = norms.baernstein_norm(x, p, mode=args.mode)
-    else:
-        result = norms.schreier_norm(x, p, mode=args.mode)
-    _emit(result.to_json_obj())
+    _emit(norms.norm(x, p, args.space, args.mode).to_json_obj())
     return EXIT_OK
 
 
@@ -115,11 +103,7 @@ def _cmd_construct(args) -> int:
     elif kind == "flat":
         chain = schreier.maximal_chain_from(args.start, args.count)
         p = _parse_p(args.p)
-        x = cons.flat_vector(chain, p, args.space)
-        if args.space == "bp":
-            result = norms.baernstein_norm(x, p)
-        else:
-            result = norms.schreier_norm(x, p)
+        result = norms.norm(cons.flat_vector(chain, p, args.space), p, args.space)
         _emit(
             {
                 "blocks": chain.to_lists() if args.count <= 12 else len(chain),
@@ -297,6 +281,9 @@ def main(argv=None) -> int:
         return EXIT_TRUNCATION
     except OracleLimitError as exc:
         print(f"error (oracle limit): {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    except OverflowError as exc:
+        print(f"error (size limit): {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except VerificationError as exc:
         print(f"error (verification): {exc}", file=sys.stderr)

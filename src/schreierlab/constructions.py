@@ -18,13 +18,7 @@ from .errors import (
 )
 from .glindex import IndexSet
 from .intset import EMPTY, IntSet
-from .norms import (
-    SPACE_BAERNSTEIN,
-    SPACE_SCHREIER,
-    baernstein_norm,
-    schreier_norm,
-    validate_exponent,
-)
+from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import SchreierChain, is_maximal_schreier, is_schreier, tau1
 from .vectors import BlockSequence, CoeffVector, sup_norm
 
@@ -243,15 +237,9 @@ class SelectionResult:
     shortfall: bool
 
 
-def _norm_of(u: CoeffVector, p, space: str):
-    if space == SPACE_BAERNSTEIN:
-        return baernstein_norm(u, p)
-    return schreier_norm(u, p)
-
-
 def _check_normalized(blocks: BlockSequence, p, space: str) -> None:
     for i, u in enumerate(blocks, start=1):
-        r = _norm_of(u, p, space)
+        r = norm(u, p, space)
         ok = r.value_pow == 1 if r.mode == "exact" else abs(r.value - 1.0) <= 1e-9
         if not ok:
             raise InvalidInputError(f"block {i} is not normalized: norm {r.value!r}")
@@ -350,7 +338,7 @@ def doubling_blocks(blocks: BlockSequence, space: str, p) -> BlockSequence:
         v = blocks[lo - 1]
         for j in range(lo + 1, hi + 1):
             v = v + blocks[j - 1]
-        r = _norm_of(v, p, space)
+        r = norm(v, p, space)
         if r.mode == "exact" and r.value_pow == 1:
             out.append(v)
         else:

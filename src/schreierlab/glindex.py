@@ -15,15 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, TruncationError
 from .intset import IntSet
-from .norms import (
-    SPACE_BAERNSTEIN,
-    SPACE_SCHREIER,
-    NormResult,
-    baernstein_norm,
-    resolve_mode,
-    schreier_norm,
-    validate_exponent,
-)
+from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import _tau1_count_sorted, as_positive_intset, tau1
 from .vectors import CoeffVector
 
@@ -267,10 +259,14 @@ def domination_constant(m: IndexSet, n: IndexSet, k: int, p, space: str) -> floa
     coefficient support, so the truncated value suffices for such vectors.
     """
     validate_exponent(p, space)
-    idx = gl_index_truncated(m, n, k).value
+    return _constant(gl_index_truncated(m, n, k).value, p, space)[0]
+
+
+def _constant(idx: int, p, space: str) -> tuple[float, int]:
+    """(C, C^p) for the truncated index idx; C^p is exact for integral p."""
     if space == SPACE_BAERNSTEIN:
-        return float(idx)
-    return float(idx) ** (1.0 / float(p))
+        return float(idx), idx**p
+    return float(idx) ** (1.0 / float(p)), idx
 
 
 @dataclass(frozen=True)
@@ -287,34 +283,19 @@ def check_domination(
     validate_exponent(p, space)
     if len(coeffs) > k:
         raise TruncationError(f"{len(coeffs)} coefficients exceed K={k}")
-    idx = gl_index_truncated(m, n, k).value
+    const, const_pow = _constant(gl_index_truncated(m, n, k).value, p, space)
     xm = CoeffVector.from_entries(
         (m.element(j + 1), c) for j, c in enumerate(coeffs) if c != 0
     )
     xn = CoeffVector.from_entries(
         (n.element(j + 1), c) for j, c in enumerate(coeffs) if c != 0
     )
-    if space == SPACE_BAERNSTEIN:
-        rm: NormResult = baernstein_norm(xm, p)
-        rn: NormResult = baernstein_norm(xn, p)
-        if rm.mode == "exact" and rn.mode == "exact":
-            holds = rn.value_pow <= idx ** _int_p(p) * rm.value_pow
-        else:
-            holds = rn.value <= float(idx) * rm.value * (1.0 + 1e-9)
-        c = float(idx)
+    rm, rn = norm(xm, p, space), norm(xn, p, space)
+    if rm.mode == "exact" and rn.mode == "exact":
+        holds = rn.value_pow <= const_pow * rm.value_pow
     else:
-        rm = schreier_norm(xm, p)
-        rn = schreier_norm(xn, p)
-        if rm.mode == "exact" and rn.mode == "exact":
-            holds = rn.value_pow <= idx * rm.value_pow
-        else:
-            holds = rn.value <= float(idx) ** (1.0 / float(p)) * rm.value * (1.0 + 1e-9)
-        c = float(idx) ** (1.0 / float(p))
-    return DominationCheck(lhs=rn.value, rhs=c * rm.value, holds=bool(holds))
-
-
-def _int_p(p) -> int:
-    return int(p)
+        holds = rn.value <= const * rm.value * (1.0 + 1e-9)
+    return DominationCheck(lhs=rn.value, rhs=const * rm.value, holds=bool(holds))
 
 
 def parse_index_rule(text: str) -> IndexSet:

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
     InvalidInputError,
@@ -78,6 +78,8 @@ def validate_exponent(p, space: str) -> None:
     else:
         if not p >= 1:
             raise UnsupportedExponentError(f"exponent must satisfy p >= 1, got {p}")
+    if p == math.inf:
+        raise UnsupportedExponentError(f"exponent must be finite, got {p}")
 
 
 def resolve_mode(x: CoeffVector, p, mode: str = "auto") -> str:
@@ -109,10 +111,32 @@ def _root(pow_value: Pow, p) -> float:
     v = float(pow_value)
     if v == 0.0:
         return 0.0
+    if v == math.inf:  # a float sum overflowed without raising
+        raise OverflowError("the p-th power of the norm overflows a float")
     return v ** (1.0 / float(p))
 
 
 # -- seminorms ---------------------------------------------------------------
+
+
+def _overlaps(x: CoeffVector, s: IntSet) -> Iterator[tuple[int, Scalar]]:
+    """(|run & s|, value) for each run of x that meets s, in run order.
+
+    One two-pointer pass over the runs and the intervals of s; an interval
+    that spans several runs is visited once per run it meets.
+    """
+    ivs = s.intervals
+    j = 0
+    for lo, hi, v in x.runs:
+        while j < len(ivs) and ivs[j][1] < lo:
+            j += 1
+        ov = 0
+        k = j
+        while k < len(ivs) and ivs[k][0] <= hi:
+            ov += min(hi, ivs[k][1]) - max(lo, ivs[k][0]) + 1
+            k += 1
+        if ov:
+            yield ov, v
 
 
 def mu_p_pow(x: CoeffVector, f, p, mode: str = "auto") -> Pow:
@@ -122,12 +146,7 @@ def mu_p_pow(x: CoeffVector, f, p, mode: str = "auto") -> Pow:
         raise InvalidInputError(f"{fs!r} is not a Schreier set")
     validate_exponent(p, SPACE_SCHREIER)
     powfn = _powfn(p, resolve_mode(x, p, mode))
-    total: Pow = 0
-    for lo, hi, v in x.runs:
-        ov = fs.intersection(IntSet.interval(lo, hi)).size
-        if ov:
-            total = total + ov * powfn(abs(v))
-    return total
+    return _block_sum(x, fs, lambda v: powfn(abs(v)))
 
 
 def mu_p(x: CoeffVector, f, p, mode: str = "auto") -> float:
@@ -140,12 +159,11 @@ def _chain_blocks(chain) -> tuple[IntSet, ...]:
     return SchreierChain(chain).sets
 
 
-def _block_abs_sum(x: CoeffVector, block: IntSet) -> Scalar:
-    s: Scalar = 0
-    for lo, hi, v in x.runs:
-        ov = block.intersection(IntSet.interval(lo, hi)).size
-        if ov:
-            s = s + ov * abs(v)
+def _block_sum(x: CoeffVector, block: IntSet, f=abs) -> Pow:
+    """Sum of f(x(n)) over n in block, accumulated run by run."""
+    s: Pow = 0
+    for ov, v in _overlaps(x, block):
+        s = s + ov * f(v)
     return s
 
 
@@ -156,7 +174,7 @@ def beta_p_pow(x: CoeffVector, chain, p, mode: str = "auto") -> Pow:
     powfn = _powfn(p, resolve_mode(x, p, mode))
     total: Pow = 0
     for block in blocks:
-        total = total + powfn(_block_abs_sum(x, block))
+        total = total + powfn(_block_sum(x, block))
     return total
 
 
@@ -198,14 +216,12 @@ class NormResult:
     zero_vector: bool = False
 
     def check(self, x: CoeffVector, rtol: float = FLOAT_RTOL) -> bool:
-        if self.space == SPACE_SCHREIER:
-            observed = mu_p_pow(x, self.witness if self.witness is not None else EMPTY,
-                                self.p, self.mode)
+        if self.witness is None:
+            observed = 0
+        elif self.space == SPACE_SCHREIER:
+            observed = mu_p_pow(x, self.witness, self.p, self.mode)
         else:
-            if self.witness is None:
-                observed = 0
-            else:
-                observed = beta_p_pow(x, self.witness, self.p, self.mode)
+            observed = beta_p_pow(x, self.witness, self.p, self.mode)
         if self.mode == "exact":
             return observed == self.value_pow
         a, b = float(observed), float(self.value_pow)
@@ -262,23 +278,26 @@ def _sp_scan(x: CoeffVector, p, mode: str) -> tuple[Pow, IntSet]:
 # run are consecutive, so pos(o) = pos_lo + (o - o_lo).
 
 
-def _ordinal_runs(x: CoeffVector, weightfn) -> tuple[list[tuple[int, int, int, Pow]], list[Pow]]:
+def _ordinal_runs(x: CoeffVector, weightfn) -> list[tuple[int, int, int, Pow]]:
     recs = []
-    prefix: list[Pow] = [0]
     o = 1
     for lo, hi, v in x.runs:
         n = hi - lo + 1
         w = weightfn(abs(v))
         recs.append((o, o + n - 1, lo, w))
-        prefix.append(prefix[-1] + n * w)
         o += n
-    return recs, prefix
+    return recs
 
 
-def _ordinal_range_sum(recs, prefix, o1: int, o2: int) -> Pow:
+def _position(recs, o: int) -> int:
+    """Support position of ordinal o."""
+    return next(pos_lo + (o - a) for a, b, pos_lo, _ in recs if a <= o <= b)
+
+
+def _ordinal_range_sum(recs, o1: int, o2: int) -> Pow:
     """Sum of weights over ordinals o1..o2 (inclusive)."""
     total: Pow = 0
-    for idx, (a, b, _, w) in enumerate(recs):
+    for a, b, _, w in recs:
         if b < o1:
             continue
         if a > o2:
@@ -298,7 +317,7 @@ def _window_best(x: CoeffVector, weightfn) -> tuple[Pow, int, int]:
     where o or the window's right edge crosses a run boundary), so scanning a
     breakpoint superset is exact.
     """
-    recs, prefix = _ordinal_runs(x, weightfn)
+    recs = _ordinal_runs(x, weightfn)
     n = recs[-1][1]
     boundaries = set()
     for a, b, _, _ in recs:
@@ -319,12 +338,8 @@ def _window_best(x: CoeffVector, weightfn) -> tuple[Pow, int, int]:
     best: Pow | None = None
     best_o = best_e = 0
     for o in sorted(candidates):
-        for a, b, pos_lo, _ in recs:
-            if a <= o <= b:
-                q = pos_lo + (o - a)
-                break
-        e = min(o + q - 1, n)
-        s = _ordinal_range_sum(recs, prefix, o, e)
+        e = min(o + _position(recs, o) - 1, n)
+        s = _ordinal_range_sum(recs, o, e)
         if best is None or s > best:
             best, best_o, best_e = s, o, e
     return best, best_o, best_e
@@ -460,20 +475,16 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     wstar, _, _ = _window_best(x, lambda a: a)
     total = x.total_abs()
 
-    recs, prefix = _ordinal_runs(x, lambda a: a)
+    recs = _ordinal_runs(x, lambda a: a)
     n = recs[-1][1]
     support = x.support()
     blocks = []
     lower: Pow = 0
     o = 1
     while o <= n:
-        for a, b, pos_lo, _ in recs:
-            if a <= o <= b:
-                q = pos_lo + (o - a)
-                break
-        k = min(q, n - o + 1)
+        k = min(_position(recs, o), n - o + 1)
         blocks.append(support.select_ordinals(IntSet.interval(o, o + k - 1)))
-        lower = lower + powfn(_ordinal_range_sum(recs, prefix, o, o + k - 1))
+        lower = lower + powfn(_ordinal_range_sum(recs, o, o + k - 1))
         o += k
 
     if mode == "exact":
@@ -513,6 +524,19 @@ def baernstein_norm(
             "and the entries are not non-increasing"
         )
     return NormResult(SPACE_BAERNSTEIN, p, m, _root(pow_value, p), pow_value, witness)
+
+
+def norm(x: CoeffVector, p, space: str, mode: str = "auto") -> NormResult:
+    """The Schreier norm (space "sp") or the chain norm (space "bp") of x.
+
+    The engines are looked up by module-global name at each call, so a
+    wrapper set on the module attribute (as bench/spans.py does) sees it.
+    """
+    if space == SPACE_SCHREIER:
+        return schreier_norm(x, p, mode)
+    if space == SPACE_BAERNSTEIN:
+        return baernstein_norm(x, p, mode)
+    raise InvalidInputError(f"unknown space {space!r}")
 
 
 # -- exhaustive oracles ------------------------------------------------------
@@ -585,11 +609,7 @@ def sigma_operator(x: CoeffVector, sets: Iterable) -> CoeffVector:
     blocks = _chain_blocks(sets)
     entries = []
     for idx, block in enumerate(blocks, start=1):
-        s: Scalar = 0
-        for lo, hi, v in x.runs:
-            ov = block.intersection(IntSet.interval(lo, hi)).size
-            if ov:
-                s = s + ov * v
+        s = _block_sum(x, block, lambda v: v)
         if s != 0:
             entries.append((idx, s))
     return CoeffVector.from_entries(entries)

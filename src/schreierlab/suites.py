@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -134,6 +135,34 @@ def _pmap(fn, tasks: list, jobs: int) -> list:
         return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1))
 
 
+def _outcomes(item_fn, item) -> tuple[int, int, str]:
+    """(checks, failures, first failure detail) of one item."""
+    details = list(item_fn(item))
+    fails = [d for d in details if d is not None]
+    return len(details), len(fails), fails[0] if fails else ""
+
+
+def _tally(check: str, tag: str, inputs: str, item_fn, items, jobs: int, noun: str) -> dict:
+    """One record over every check of every item.
+
+    item_fn(item) yields None for each passing check and a detail string for
+    each failing one; the first failure in item order is quoted, so the
+    record does not depend on jobs or on how _pmap batches the items.
+    """
+    results = _pmap(partial(_outcomes, item_fn), list(items), jobs)
+    checked = sum(r[0] for r in results)
+    bad = sum(r[1] for r in results)
+    first = next((r[2] for r in results if r[2]), "")
+    return record(
+        check,
+        tag,
+        inputs,
+        f"0 {noun} in {checked}",
+        f"{bad} {noun}" + (f" ({first})" if first else ""),
+        bad == 0,
+    )
+
+
 def _rand_int_vector(rng: random.Random, max_support: int, window: int) -> CoeffVector:
     k = rng.randint(1, max_support)
     supp = sorted(rng.sample(range(1, window + 1), k))
@@ -153,19 +182,11 @@ def _rand_prefix(rng: random.Random, length: int, max_start: int = 4, max_gap: i
 _NORM_COMBOS = (("sp", 1), ("sp", 2), ("sp", 3), ("bp", 2), ("bp", 3))
 
 
-def _norm_of(x: CoeffVector, space: str, p, mode: str = "auto"):
-    if space == "bp":
-        return norms.baernstein_norm(x, p, mode)
-    return norms.schreier_norm(x, p, mode)
-
-
-def _norm_oracle_sign_task(pattern: tuple[int, ...]) -> tuple[int, int, str]:
+def _norm_oracle_signs(pattern: tuple[int, ...]):
     """One |x| class over indices 1..len(pattern): oracle once, engines on
     every sign assignment in the class."""
     supp = [i + 1 for i, b in enumerate(pattern) if b]
     base = CoeffVector.from_entries((q, 1) for q in supp)
-    checked = mismatches = 0
-    detail = ""
     oracle = {
         (space, p): norms.oracle_norm_pow(base, p, space) if supp else 0
         for space, p in _NORM_COMBOS
@@ -173,37 +194,23 @@ def _norm_oracle_sign_task(pattern: tuple[int, ...]) -> tuple[int, int, str]:
     for signs in product((1, -1), repeat=len(supp)):
         x = CoeffVector.from_entries((q, s) for q, s in zip(supp, signs))
         for space, p in _NORM_COMBOS:
-            r = _norm_of(x, space, p)
-            checked += 1
-            if r.value_pow != oracle[(space, p)] or not r.check(x):
-                mismatches += 1
-                if not detail:
-                    detail = f"signs={signs} supp={supp} space={space} p={p}"
-    return checked, mismatches, detail
+            r = norms.norm(x, p, space)
+            ok = r.value_pow == oracle[(space, p)] and r.check(x)
+            yield None if ok else f"signs={signs} supp={supp} space={space} p={p}"
 
 
-def _norm_oracle_random_task(args) -> tuple[int, int, str]:
-    space, p, seed, start, count, max_support, window = args
-    checked = mismatches = 0
-    detail = ""
-    for i in range(start, start + count):
-        rng = _rng(seed, "norm-oracle-b", space, p, i)
-        x = _rand_int_vector(rng, max_support, window)
-        r = _norm_of(x, space, p)
-        o = norms.oracle_norm_pow(x, p, space)
-        checked += 1
-        if r.value_pow != o or not r.check(x):
-            mismatches += 1
-            detail = detail or f"exact i={i} supp={x.support().to_list()}"
-        # float mode on the same vector, 1e-9 relative
-        xf = CoeffVector.from_entries((q, float(v)) for q, v in x.items())
-        rf = _norm_of(xf, space, p, mode="float")
-        of = norms.oracle_norm(xf, p, space, mode="float")
-        checked += 1
-        if abs(rf.value - of) > 1e-9 * max(1.0, of) or not rf.check(xf):
-            mismatches += 1
-            detail = detail or f"float i={i} supp={x.support().to_list()}"
-    return checked, mismatches, detail
+def _norm_oracle_random(space, p, seed, max_support, window, i):
+    rng = _rng(seed, "norm-oracle-b", space, p, i)
+    x = _rand_int_vector(rng, max_support, window)
+    r = norms.norm(x, p, space)
+    ok = r.value_pow == norms.oracle_norm_pow(x, p, space) and r.check(x)
+    yield None if ok else f"exact i={i} supp={x.support().to_list()}"
+    # float mode on the same vector, 1e-9 relative
+    xf = CoeffVector.from_entries((q, float(v)) for q, v in x.items())
+    rf = norms.norm(xf, p, space, mode="float")
+    of = norms.oracle_norm(xf, p, space, mode="float")
+    ok = abs(rf.value - of) <= 1e-9 * max(1.0, of) and rf.check(xf)
+    yield None if ok else f"float i={i} supp={x.support().to_list()}"
 
 
 def suite_norm_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
@@ -211,42 +218,27 @@ def suite_norm_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
     randoms = sizes.get("randoms_per_p", 500)
     max_support = sizes.get("max_support", 9)
     window = sizes.get("window", 24)
-    records = []
-
-    sign_tasks = list(product((0, 1), repeat=sign_indices))
-    results = _pmap(_norm_oracle_sign_task, sign_tasks, jobs)
-    checked = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2]), "")
-    records.append(
-        record(
+    records = [
+        _tally(
             "sign-vectors-exhaustive",
             "engine == exhaustive oracle on sign vectors",
             _digest("signs", sign_indices),
-            f"0 mismatches in {checked}",
-            f"{bad} mismatches" + (f" ({first})" if first else ""),
-            bad == 0,
+            _norm_oracle_signs,
+            product((0, 1), repeat=sign_indices),
+            jobs,
+            "mismatches",
         )
-    )
-
-    chunk = 50
+    ]
     for space, p in _NORM_COMBOS:
-        tasks = [
-            (space, p, seed, start, min(chunk, randoms - start), max_support, window)
-            for start in range(0, randoms, chunk)
-        ]
-        results = _pmap(_norm_oracle_random_task, tasks, jobs)
-        checked = sum(r[0] for r in results)
-        bad = sum(r[1] for r in results)
-        first = next((r[2] for r in results if r[2]), "")
         records.append(
-            record(
+            _tally(
                 f"random-rational-{space}-p{p}",
                 "engine == oracle, exact and float(1e-9)",
                 _digest("rand", space, p, seed, randoms),
-                f"0 mismatches in {checked}",
-                f"{bad} mismatches" + (f" ({first})" if first else ""),
-                bad == 0,
+                partial(_norm_oracle_random, space, p, seed, max_support, window),
+                range(randoms),
+                jobs,
+                "mismatches",
             )
         )
     return records
@@ -255,70 +247,48 @@ def suite_norm_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- tau-oracle -------------------------------------------------------------------
 
 
-def _tau_random_task(args) -> tuple[int, int, str]:
-    seed, start, count, universe = args
-    checked = mismatches = 0
-    detail = ""
-    for i in range(start, start + count):
-        rng = _rng(seed, "tau-random", i)
-        k = rng.randint(0, universe)
-        sub = sorted(rng.sample(range(1, universe + 1), k))
-        count_g, cert = schreier.tau1(sub)
-        checked += 1
-        if count_g != schreier.tau1_oracle(sub) or not cert.verify():
-            mismatches += 1
-            detail = detail or f"i={i} set={sub}"
-    return checked, mismatches, detail
+def _tau_agrees(sub) -> bool:
+    count, cert = schreier.tau1(sub)
+    return count == schreier.tau1_oracle(sub) and cert.verify()
+
+
+def _tau_exhaustive(sub):
+    yield None if _tau_agrees(sub) else str(sub)
+
+
+def _tau_random(seed, universe, i):
+    rng = _rng(seed, "tau-random", i)
+    k = rng.randint(0, universe)
+    sub = sorted(rng.sample(range(1, universe + 1), k))
+    yield None if _tau_agrees(sub) else f"i={i} set={sub}"
 
 
 def suite_tau_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
     exhaustive_to = sizes.get("exhaustive_universe", 9)
     random_count = sizes.get("random_count", 10_000)
     random_universe = sizes.get("random_universe", 12)
-    records = []
-
-    bad = 0
-    detail = ""
-    total = 0
-    universe = list(range(1, exhaustive_to + 1))
-    for r in range(len(universe) + 1):
-        for sub in combinations(universe, r):
-            total += 1
-            count, cert = schreier.tau1(sub)
-            if count != schreier.tau1_oracle(sub) or not cert.verify():
-                bad += 1
-                detail = detail or str(sub)
-    records.append(
-        record(
+    universe = range(1, exhaustive_to + 1)
+    tag = "greedy tau1 == exhaustive oracle with verified certificate"
+    return [
+        _tally(
             "exhaustive-subsets",
-            "greedy tau1 == exhaustive oracle with verified certificate",
+            tag,
             _digest("tau-exhaustive", exhaustive_to),
-            f"0 mismatches in {total}",
-            f"{bad} mismatches" + (f" ({detail})" if detail else ""),
-            bad == 0,
-        )
-    )
-
-    chunk = 500
-    tasks = [
-        (seed, start, min(chunk, random_count - start), random_universe)
-        for start in range(0, random_count, chunk)
-    ]
-    results = _pmap(_tau_random_task, tasks, jobs)
-    checked = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2]), "")
-    records.append(
-        record(
+            _tau_exhaustive,
+            (sub for r in range(len(universe) + 1) for sub in combinations(universe, r)),
+            jobs,
+            "mismatches",
+        ),
+        _tally(
             "random-subsets",
-            "greedy tau1 == exhaustive oracle with verified certificate",
+            tag,
             _digest("tau-random", seed, random_count, random_universe),
-            f"0 mismatches in {checked}",
-            f"{bad} mismatches" + (f" ({first})" if first else ""),
-            bad == 0,
-        )
-    )
-    return records
+            partial(_tau_random, seed, random_universe),
+            range(random_count),
+            jobs,
+            "mismatches",
+        ),
+    ]
 
 
 # -- lemma22 (flat-vector norm bounds) ----------------------------------------------
@@ -398,29 +368,20 @@ def suite_lemma22(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- jameson (three-norm inequality) ---------------------------------------------
 
 
-def _jameson_upper_task(args) -> tuple[int, int, str]:
-    p, seed, start, count, max_support, window = args
-    kp = (3.0 * 2.0 ** (p - 1) - 2.0) / (2.0 ** (p - 1) - 1.0)
-    checked = bad = 0
-    detail = ""
-    for i in range(start, start + count):
-        rng = _rng(seed, "jameson-upper", p, i)
-        k = rng.randint(1, max_support)
-        supp = sorted(rng.sample(range(1, window + 1), k))
-        x = CoeffVector.from_entries(
-            (q, rng.uniform(-1, 1) or rng.uniform(0.1, 1)) for q in supp
-        )
-        if x.is_zero:
-            continue
-        lp_pow = norms.lp_norm_pow(x, p, mode="float")
-        sup = float(sup_norm(x))
-        checked += 1
-        s1 = norms.schreier_norm(x, 1, mode="float").value
-        bound = kp * sup ** (p - 1.0) * s1
-        if lp_pow > bound * (1 + 1e-9):
-            bad += 1
-            detail = detail or f"i={i} lp^p={lp_pow} bound={bound}"
-    return checked, bad, detail
+def _jameson_upper(p, kp, seed, max_support, window, i):
+    rng = _rng(seed, "jameson-upper", p, i)
+    k = rng.randint(1, max_support)
+    supp = sorted(rng.sample(range(1, window + 1), k))
+    x = CoeffVector.from_entries(
+        (q, rng.uniform(-1, 1) or rng.uniform(0.1, 1)) for q in supp
+    )
+    if x.is_zero:
+        return
+    lp_pow = norms.lp_norm_pow(x, p, mode="float")
+    sup = float(sup_norm(x))
+    s1 = norms.schreier_norm(x, 1, mode="float").value
+    bound = kp * sup ** (p - 1.0) * s1
+    yield None if lp_pow <= bound * (1 + 1e-9) else f"i={i} lp^p={lp_pow} bound={bound}"
 
 
 def suite_jameson(seed: int, sizes: dict, jobs: int) -> list[dict]:
@@ -445,24 +406,17 @@ def suite_jameson(seed: int, sizes: dict, jobs: int) -> list[dict]:
         )
     )
 
-    chunk = 250
     for p in p_list:
-        tasks = [
-            (p, seed, start, min(chunk, upper_count - start), max_support, window)
-            for start in range(0, upper_count, chunk)
-        ]
-        results = _pmap(_jameson_upper_task, tasks, jobs)
-        checked = sum(r[0] for r in results)
-        bad = sum(r[1] for r in results)
-        first = next((r[2] for r in results if r[2]), "")
+        kp = (3.0 * 2.0 ** (p - 1) - 2.0) / (2.0 ** (p - 1) - 1.0)
         records.append(
-            record(
+            _tally(
                 f"upper-random-p{p}",
                 "lp^p <= Kp * sup^(p-1) * s1",
                 _digest("jameson-upper", p, seed, upper_count),
-                f"0 violations in {checked}",
-                f"{bad} violations" + (f" ({first})" if first else ""),
-                bad == 0,
+                partial(_jameson_upper, p, kp, seed, max_support, window),
+                range(upper_count),
+                jobs,
+                "violations",
             )
         )
 
@@ -513,44 +467,31 @@ def suite_jameson(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- domination --------------------------------------------------------------------
 
 
-def _domination_pair_task(args) -> tuple[int, int, str]:
-    seed, pair_index, k, coeff_count = args
+def _domination_pair(seed, k, coeff_count, pair_index):
     rng = _rng(seed, "domination-pair", pair_index)
     m = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
     n = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
-    checked = bad = 0
-    detail = ""
     for space, p in _NORM_COMBOS:
         for i in range(coeff_count):
             crng = _rng(seed, "domination-coeffs", pair_index, space, p, i)
             coeffs = [crng.randint(-4, 4) for _ in range(crng.randint(1, k))]
             res = gl.check_domination(m, n, k, p, space, coeffs)
-            checked += 1
-            if not res.holds:
-                bad += 1
-                detail = detail or (
-                    f"pair={pair_index} space={space} p={p} coeffs={coeffs}"
-                )
-    return checked, bad, detail
+            yield None if res.holds else f"pair={pair_index} space={space} p={p} coeffs={coeffs}"
 
 
 def suite_domination(seed: int, sizes: dict, jobs: int) -> list[dict]:
     pairs = sizes.get("pairs", 50)
     k = sizes.get("K", 12)
     coeff_count = sizes.get("coeffs_per_combo", 100)
-    tasks = [(seed, i, k, coeff_count) for i in range(pairs)]
-    results = _pmap(_domination_pair_task, tasks, jobs)
-    checked = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2]), "")
     return [
-        record(
+        _tally(
             "random-pairs",
             "||sum a e_n|| <= C ||sum a e_m|| with C from the truncated index",
             _digest("domination", seed, pairs, k, coeff_count),
-            f"0 violations in {checked}",
-            f"{bad} violations" + (f" ({first})" if first else ""),
-            bad == 0,
+            partial(_domination_pair, seed, k, coeff_count),
+            range(pairs),
+            jobs,
+            "violations",
         )
     ]
 
@@ -572,41 +513,29 @@ def _rand_successive_sets(rng: random.Random, limit: int = 24) -> list[list[int]
     return sets
 
 
-def _sigma_task(args) -> tuple[int, int, str]:
-    seed, start, count = args
-    checked = bad = 0
-    detail = ""
-    for i in range(start, start + count):
-        rng = _rng(seed, "sigma", i)
-        x = _rand_int_vector(rng, 14, 22)
-        sets = _rand_successive_sets(rng)
-        if not sets:
-            continue
-        out = norms.sigma_operator(x, sets)
-        for p in (2, 3):
-            checked += 1
-            if norms.lp_norm_pow(out, p) > norms.baernstein_norm(x, p).value_pow:
-                bad += 1
-                detail = detail or f"i={i} p={p}"
-    return checked, bad, detail
+def _sigma(seed, i):
+    rng = _rng(seed, "sigma", i)
+    x = _rand_int_vector(rng, 14, 22)
+    sets = _rand_successive_sets(rng)
+    if not sets:
+        return
+    out = norms.sigma_operator(x, sets)
+    for p in (2, 3):
+        ok = norms.lp_norm_pow(out, p) <= norms.baernstein_norm(x, p).value_pow
+        yield None if ok else f"i={i} p={p}"
 
 
 def suite_sigma(seed: int, sizes: dict, jobs: int) -> list[dict]:
     count = sizes.get("count", 1000)
-    chunk = 100
-    tasks = [(seed, start, min(chunk, count - start)) for start in range(0, count, chunk)]
-    results = _pmap(_sigma_task, tasks, jobs)
-    checked = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2]), "")
     return [
-        record(
+        _tally(
             "contraction",
             "lp norm of block sums <= chain norm",
             _digest("sigma", seed, count),
-            f"0 violations in {checked}",
-            f"{bad} violations" + (f" ({first})" if first else ""),
-            bad == 0,
+            partial(_sigma, seed),
+            range(count),
+            jobs,
+            "violations",
         )
     ]
 
@@ -707,50 +636,37 @@ def suite_corollary64(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- gl-bounds ----------------------------------------------------------------------
 
 
-def _gl_bounds_task(args) -> tuple[int, int, str]:
-    seed, start, count, k = args
-    checked = bad = 0
-    detail = ""
-    for i in range(start, start + count):
-        rng = _rng(seed, "gl-bounds", i)
-        m = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
-        m1 = gl.IndexSet.doubled_minus_one(m)
-        m2 = gl.IndexSet.doubled(m)
-        u = gl.IndexSet.union(m1, m2)
-        checks = (
-            (gl.gl_index_truncated(m, u, k).value, 3, "le"),
-            (gl.gl_index_truncated(u, m, k).value, 2, "le"),
-            (gl.gl_index_truncated(m2, m, k).value, 1, "eq"),
-            (gl.gl_index_truncated(m2, m1, k).value, 1, "eq"),
-            (gl.gl_index_truncated(m, m2, k).value, 2, "le"),
-            (gl.gl_index_truncated(m1, m2, k).value, 2, "le"),
-        )
-        for value, bound, kind in checks:
-            checked += 1
-            good = value == bound if kind == "eq" else value <= bound
-            if not good:
-                bad += 1
-                detail = detail or f"i={i} value={value} bound={bound} ({kind})"
-    return checked, bad, detail
+def _gl_bounds(seed, k, i):
+    rng = _rng(seed, "gl-bounds", i)
+    m = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
+    m1 = gl.IndexSet.doubled_minus_one(m)
+    m2 = gl.IndexSet.doubled(m)
+    u = gl.IndexSet.union(m1, m2)
+    checks = (
+        (gl.gl_index_truncated(m, u, k).value, 3, "le"),
+        (gl.gl_index_truncated(u, m, k).value, 2, "le"),
+        (gl.gl_index_truncated(m2, m, k).value, 1, "eq"),
+        (gl.gl_index_truncated(m2, m1, k).value, 1, "eq"),
+        (gl.gl_index_truncated(m, m2, k).value, 2, "le"),
+        (gl.gl_index_truncated(m1, m2, k).value, 2, "le"),
+    )
+    for value, bound, kind in checks:
+        good = value == bound if kind == "eq" else value <= bound
+        yield None if good else f"i={i} value={value} bound={bound} ({kind})"
 
 
 def suite_gl_bounds(seed: int, sizes: dict, jobs: int) -> list[dict]:
     count = sizes.get("count", 200)
     k = sizes.get("K", 12)
-    chunk = 25
-    tasks = [(seed, start, min(chunk, count - start), k) for start in range(0, count, chunk)]
-    results = _pmap(_gl_bounds_task, tasks, jobs)
-    checked = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    first = next((r[2] for r in results if r[2]), "")
     return [
-        record(
+        _tally(
             "doubling-ensemble",
             "truncated indices for (M, 2M-1, 2M) respect (<=3, <=2, =1, =1, <=2, <=2)",
             _digest("gl-bounds", seed, count, k),
-            f"0 violations in {checked}",
-            f"{bad} violations" + (f" ({first})" if first else ""),
-            bad == 0,
+            partial(_gl_bounds, seed, k),
+            range(count),
+            jobs,
+            "violations",
         )
     ]
 

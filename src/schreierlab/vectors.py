@@ -10,6 +10,7 @@ but demotes the vector to float mode.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -30,6 +31,8 @@ def is_exact_scalar(v) -> bool:
 def _check_scalar(v) -> None:
     if not isinstance(v, (int, Fraction, float)):
         raise InvalidInputError(f"unsupported scalar type {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InvalidInputError(f"non-finite scalar {v!r}")
 
 
 class CoeffVector:
@@ -153,19 +156,11 @@ class CoeffVector:
     def __add__(self, other: "CoeffVector") -> "CoeffVector":
         if not isinstance(other, CoeffVector):
             return NotImplemented
-        # Sweep both run lists over their boundary points, summing values.
-        bounds = set()
-        for vec in (self, other):
-            for lo, hi, _ in vec._runs:
-                bounds.add(lo)
-                bounds.add(hi + 1)
-        cuts = sorted(bounds)
-        out = []
-        for a, b in zip(cuts, cuts[1:]):
-            v = self.entry(a) + other.entry(a)
-            if v != 0:
-                out.append((a, b - 1, v))
-        return CoeffVector(out)
+        # Merge both run lists over their boundary points, summing values;
+        # the constructor drops zero sums and re-joins equal neighbours.
+        cuts = sorted({e for lo, hi, _ in self._runs + other._runs for e in (lo, hi + 1)})
+        values = zip(_values_at(self._runs, cuts), _values_at(other._runs, cuts))
+        return CoeffVector((a, b - 1, u + w) for a, b, (u, w) in zip(cuts, cuts[1:], values))
 
     def __sub__(self, other: "CoeffVector") -> "CoeffVector":
         if not isinstance(other, CoeffVector):
@@ -197,6 +192,15 @@ class CoeffVector:
         for lo, hi, v in self._runs:
             total += (hi - lo + 1) * abs(v)
         return total
+
+
+def _values_at(runs, points) -> Iterator[Scalar]:
+    """Entry at each of the ascending points, in one pass over the sorted runs."""
+    k = 0
+    for q in points:
+        while k < len(runs) and runs[k][1] < q:
+            k += 1
+        yield runs[k][2] if k < len(runs) and runs[k][0] <= q else 0
 
 
 def decreasing_rearrangement(x: CoeffVector) -> CoeffVector:
@@ -271,19 +275,21 @@ def scalar_to_json(v: Scalar) -> str | float:
 def scalar_from_json(raw) -> Scalar:
     if isinstance(raw, bool):
         raise InvalidInputError("boolean is not a scalar")
-    if isinstance(raw, (int, float)):
-        return raw
     if isinstance(raw, str):
         text = raw.strip()
         try:
             if "/" in text:
-                return Fraction(text)
-            if any(c in text for c in ".eE"):
-                return float(text)
-            return int(text)
+                raw = Fraction(text)
+            elif any(c in text for c in ".eE"):
+                raw = float(text)
+            else:
+                raw = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"cannot parse scalar {raw!r}") from exc
-    raise InvalidInputError(f"cannot parse scalar {raw!r}")
+    elif not isinstance(raw, (int, float)):
+        raise InvalidInputError(f"cannot parse scalar {raw!r}")
+    _check_scalar(raw)
+    return raw
 
 
 def vector_to_json_obj(x: CoeffVector) -> dict:

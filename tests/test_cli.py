@@ -168,3 +168,33 @@ def test_verify_unknown_suite_is_parse_error(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["norm"]) == 2  # missing --vec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--vec", "[NaN,1]"),
+        ("--vec", "[Infinity,1]"),
+        ("--vec", "[1,1]", "--p", "1e999"),
+    ],
+)
+def test_norm_rejects_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, "norm", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "vec, p",
+    [
+        ("[1e200,1]", "2"),  # the float power raises
+        ("[1" + "0" * 200 + ",1]", "2"),  # the exact power does not fit a float
+        ('{"2": 1e308, "3": 1e308}', "1"),  # the float sum becomes inf
+    ],
+)
+def test_norm_float_overflow_is_a_size_limit(capsys, vec, p):
+    code, out, err = run_cli(capsys, "norm", "--vec", vec, "--p", p)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error (size limit):") and err.count("\n") == 1

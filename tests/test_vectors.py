@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 import schreierlab as sl
 from schreierlab import CoeffVector
+from schreierlab.norms import validate_exponent
 from schreierlab.vectors import (
     scalar_from_json,
     scalar_to_json,
@@ -128,3 +130,16 @@ def test_vector_json_roundtrip():
         vector_from_json_obj({"zero": 1})
     with pytest.raises(sl.InvalidInputError):
         vector_from_json_obj("nope")
+
+
+def test_non_finite_scalars_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf, "1e999", "-1e999"):
+        with pytest.raises(sl.InvalidInputError):
+            scalar_from_json(bad)
+    with pytest.raises(sl.InvalidInputError):
+        CoeffVector.from_dense([1.0, math.inf])
+    with pytest.raises(sl.InvalidInputError):
+        CoeffVector.basis(1, 1.0).scaled(math.nan)
+    for space in ("sp", "bp"):
+        with pytest.raises(sl.UnsupportedExponentError):
+            validate_exponent(math.inf, space)
