@@ -3,13 +3,14 @@ constructions, and the seeded verification suites.
 
 Exit codes: 0 success, 1 failed verification check, 2 parse/usage error,
 3 truncation (index set or partition not materialized far enough),
-4 oracle/size limit exceeded (float overflow included).
+4 oracle/size limit exceeded (float overflow included), 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_TRUNCATION = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_p(text: str):
@@ -159,15 +161,23 @@ def _cmd_construct(args) -> int:
 
 
 def _parse_sizes(pairs: list[str]) -> dict:
+    """key=value pairs, each value a JSON integer >= 0 or list of finite numbers."""
+    finite = lambda v: type(v) in (int, float) and math.isfinite(v)
     sizes = {}
     for raw in pairs:
         key, sep, value = raw.partition("=")
         if not sep:
             raise InvalidInputError(f"--size wants key=value, got {raw!r}")
         try:
-            sizes[key] = json.loads(value)
+            v = json.loads(value)
         except json.JSONDecodeError:
-            sizes[key] = value
+            v = None
+        if not (type(v) is int and v >= 0 or type(v) is list and all(map(finite, v))):
+            raise InvalidInputError(
+                f"--size {key} wants a non-negative integer or a list of finite "
+                f"numbers, got {value!r}"
+            )
+        sizes[key] = v
     return sizes
 
 
@@ -291,6 +301,9 @@ def main(argv=None) -> int:
     except (InvalidInputError, SchreierLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # a bug: keep it apart from "verification failed"
+        print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

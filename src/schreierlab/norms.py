@@ -7,7 +7,10 @@ alongside the value.
 
 Arithmetic modes: with rational entries and an integral exponent the p-th
 powers of both norms are rational, so all comparisons run exactly on the
-powers ("exact" mode).  Otherwise everything is evaluated in floats with a
+powers ("exact" mode); the engines then run on |x|*L as ints, L the lcm of
+the denominators (see _on_ints), while the seminorms, the oracles and
+NormResult.check compute in x's own scalars and so check the engines
+independently.  Otherwise everything is evaluated in floats with a
 documented comparison tolerance of 1e-9 ("float" mode).
 
 Two evaluation strategies per norm:
@@ -116,6 +119,22 @@ def _root(pow_value: Pow, p) -> float:
     return v ** (1.0 / float(p))
 
 
+def _on_ints(engine, x: CoeffVector, p, mode: str):
+    """engine(x, p, mode), run on int entries when the mode is exact.
+
+    A vector with a Fraction entry is multiplied once by L, the lcm of its
+    denominators; signs and runs stay those of x.  Scaling by a positive
+    constant keeps every comparison and every tie, so the witness is
+    unchanged and the power is divided by L^p.
+    """
+    if mode != "exact" or not any(isinstance(v, Fraction) for _, _, v in x.runs):
+        return engine(x, p, mode)
+    lcm = math.lcm(*(v.denominator for _, _, v in x.runs))
+    y = CoeffVector((lo, hi, v.numerator * (lcm // v.denominator)) for lo, hi, v in x.runs)
+    pow_value, witness = engine(y, p, mode)
+    return Fraction(pow_value, lcm ** _integral_exponent(p)), witness
+
+
 # -- seminorms ---------------------------------------------------------------
 
 
@@ -202,9 +221,10 @@ def lp_norm(x: CoeffVector, p, mode: str = "auto") -> float:
 class NormResult:
     """Norm value plus an attaining witness.
 
-    `value_pow` is the exact p-th power of the value in exact mode (a
-    rational), or the float power in float mode; re-evaluating the seminorm
-    at the witness reproduces it (exactly, resp. within 1e-9 relative).
+    `value_pow` is the exact p-th power of the value in exact mode, or the
+    float power in float mode; re-evaluating the seminorm at the witness
+    reproduces it (exactly, resp. within 1e-9 relative).  In exact mode it is
+    an int when every entry of x is an int and a Fraction otherwise.
     """
 
     space: str
@@ -254,23 +274,20 @@ class NormResult:
 
 def _sp_scan(x: CoeffVector, p, mode: str) -> tuple[Pow, IntSet]:
     powfn = _powfn(p, mode)
-    pairs = [(q, powfn(abs(v))) for q, v in x.pairs()]
-    n = len(pairs)
-    best_pow: Pow | None = None
-    best_wit: tuple[int, ...] | None = None
-    for i in range(n):
-        m, pw = pairs[i]
-        budget = m - 1
-        total = pw
-        positions = [m]
-        if budget > 0 and i + 1 < n:
-            chosen = sorted(pairs[i + 1 :], key=lambda t: (-t[1], t[0]))[:budget]
-            for _, w in chosen:
-                total = total + w
-            positions.extend(q for q, _ in chosen)
-        wit = tuple(sorted(positions))
-        if best_pow is None or total > best_pow or (total == best_pow and wit < best_wit):
-            best_pow, best_wit = total, wit
+    pos, pw = zip(*[(q, powfn(abs(v))) for q, v in x.pairs()])
+    # Candidate i pairs its minimum with the first m-1 ranks beyond i, added in
+    # rank order (largest power first, ties to the smaller position).
+    ranked = sorted(range(len(pw)), key=lambda j: (-pw[j], j))
+    best_pow, best_wit = -1, ()  # -1 is below every power
+    for i, m in enumerate(pos):
+        chosen = [j for j in ranked if j > i][: m - 1]
+        total = pw[i]
+        for j in chosen:
+            total = total + pw[j]
+        if total >= best_pow:
+            wit = (m,) + tuple(pos[j] for j in sorted(chosen))
+            if total > best_pow or wit < best_wit:
+                best_pow, best_wit = total, wit
     return best_pow, IntSet.from_iterable(best_wit)
 
 
@@ -366,9 +383,9 @@ def schreier_norm(
         return NormResult(SPACE_SCHREIER, p, m, 0.0, 0, EMPTY, zero_vector=True)
     limit = DEFAULT_SCAN_LIMIT if scan_limit is None else scan_limit
     if x.support_size <= limit:
-        pow_value, witness = _sp_scan(x, p, m)
+        pow_value, witness = _on_ints(_sp_scan, x, p, m)
     elif x.is_nonincreasing_abs():
-        pow_value, witness = _monotone_sp(x, p, m)
+        pow_value, witness = _on_ints(_monotone_sp, x, p, m)
     else:
         raise SizeLimitError(
             f"support size {x.support_size} exceeds the scan limit {limit} "
@@ -515,9 +532,9 @@ def baernstein_norm(
         return NormResult(SPACE_BAERNSTEIN, p, m, 0.0, 0, None, zero_vector=True)
     limit = DEFAULT_DP_LIMIT if dp_limit is None else dp_limit
     if x.support_size <= limit:
-        pow_value, witness = _bp_dp(x, p, m)
+        pow_value, witness = _on_ints(_bp_dp, x, p, m)
     elif x.is_nonincreasing_abs():
-        pow_value, witness = _monotone_bp(x, p, m)
+        pow_value, witness = _on_ints(_monotone_bp, x, p, m)
     else:
         raise SizeLimitError(
             f"support size {x.support_size} exceeds the chain DP limit {limit} "

@@ -198,3 +198,33 @@ def test_norm_float_overflow_is_a_size_limit(capsys, vec, p):
     assert code == 4
     assert out == ""
     assert err.startswith("error (size limit):") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value", ["1.5", "NaN", '"x"', "x", "true", "-3", "[1, NaN]", "[true]", "{}"]
+)
+def test_verify_rejects_bad_size_values(tmp_path, capsys, value):
+    code, out, err = run_cli(
+        capsys, "verify", "sigma", "--out", str(tmp_path), "--size", f"count={value}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --size count wants") and err.count("\n") == 1
+    assert not (tmp_path / "sigma.json").exists()
+
+
+def test_size_values_are_counts_or_number_lists():
+    assert cli._parse_sizes(["count=0", "p_list=[1.5, 2]", "starts=[]"]) == {
+        "count": 0, "p_list": [1.5, 2], "starts": [],
+    }
+
+
+def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.schreier, "tau1", broken)
+    code, out, err = run_cli(capsys, "tau", "--set", "[1, 2]")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "error (internal): RuntimeError: boom\n"
