@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -161,33 +160,36 @@ def _cmd_construct(args) -> int:
 
 
 def _parse_sizes(pairs: list[str]) -> dict:
-    """key=value pairs, each value a JSON integer >= 0 or list of finite numbers."""
-    finite = lambda v: type(v) in (int, float) and math.isfinite(v)
+    """key=JSON pairs; which keys and values a suite takes is its own check."""
     sizes = {}
     for raw in pairs:
         key, sep, value = raw.partition("=")
         if not sep:
             raise InvalidInputError(f"--size wants key=value, got {raw!r}")
         try:
-            v = json.loads(value)
+            sizes[key] = json.loads(value)
         except json.JSONDecodeError:
-            v = None
-        if not (type(v) is int and v >= 0 or type(v) is list and all(map(finite, v))):
-            raise InvalidInputError(
-                f"--size {key} wants a non-negative integer or a list of finite "
-                f"numbers, got {value!r}"
-            )
-        sizes[key] = v
+            raise InvalidInputError(f"--size {key} wants a JSON value, got {value!r}") from None
     return sizes
 
 
 def _cmd_verify(args) -> int:
-    names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
     sizes = _parse_sizes(args.size or [])
+    names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    # one suite is handed every size; verify all hands each suite its own
+    plan = {n: {k: v for k, v in sizes.items() if args.suite != "all" or k in suites.SIZES[n]}
+            for n in names}
+    unknown = set(sizes).difference(*plan.values())
+    if unknown:
+        raise InvalidInputError(
+            f"--size {min(unknown)} wants a size that some suite declares (see verify --help)"
+        )
+    for name, own in plan.items():  # refuse every bad size before the first suite runs
+        suites.check_sizes(name, own)
     all_ok = True
-    for name in names:
+    for name, own in plan.items():
         report = suites.run_suite(
-            name, seed=args.seed, sizes=sizes, jobs=args.jobs, out_dir=args.out
+            name, seed=args.seed, sizes=own, jobs=args.jobs, out_dir=args.out
         )
         status = "PASS" if report.passed else "FAIL"
         summary = report.summary
@@ -204,6 +206,12 @@ def _cmd_verify(args) -> int:
                     print(f"  FAILED {r['check']}: {r['tag']}")
                     print(f"    expected {r['expected']}, observed {r['observed']}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+
+_SIZES_HELP = "\n".join(
+    ["sizes (--size KEY=VALUE, an integer >= 1 or a non-empty list) and defaults:"]
+    + [f"  {n:<12} {suites.describe_sizes(n)}" for n in suites.SUITE_NAMES]
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     c_wit.add_argument("--n-max", dest="n_max", type=int, required=True)
     p_con.set_defaults(func=_cmd_construct)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
+    p_ver = sub.add_parser("verify", help="run a verification suite", epilog=_SIZES_HELP,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
     p_ver.add_argument("suite", choices=suites.SUITE_NAMES + ("all",))
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default="./reports")

@@ -77,34 +77,27 @@ class IndexSet:
 
     @classmethod
     def union(cls, a: "IndexSet", b: "IndexSet") -> "IndexSet":
-        # merge the two streams from scratch on each call; cheap at desk
-        # scale and keeps the closure free of cross-call index state
-        def gen_fresh(j: int) -> int:
-            ai = bi = 0
-            last = 0
-            count = 0
-            while True:
-                av = a._try_element(ai + 1)
-                bv = b._try_element(bi + 1)
-                if av is None and bv is None:
-                    raise TruncationError(
-                        f"union of ({a.rule}) and ({b.rule}) exhausted at length {count}"
-                    )
-                if bv is None or (av is not None and av <= bv):
-                    nxt = av
-                    ai += 1
-                    if av == bv:
-                        bi += 1
-                else:
-                    nxt = bv
-                    bi += 1
-                if nxt > last:
-                    last = nxt
-                    count += 1
-                    if count == j:
-                        return nxt
+        # element() asks for j = len(cache) + 1 in order, so the merge
+        # pointers carry over from one call to the next
+        ai = bi = 1
 
-        return cls(f"({a.rule})|({b.rule})", generator=gen_fresh)
+        def gen_next(j: int) -> int:
+            nonlocal ai, bi
+            av = a._try_element(ai)
+            bv = b._try_element(bi)
+            if av is None and bv is None:
+                raise TruncationError(
+                    f"union of ({a.rule}) and ({b.rule}) exhausted at length {j - 1}"
+                )
+            if bv is None or (av is not None and av <= bv):
+                ai += 1
+                if av == bv:
+                    bi += 1
+                return av
+            bi += 1
+            return bv
+
+        return cls(f"({a.rule})|({b.rule})", generator=gen_next)
 
     @classmethod
     def from_intset(cls, s: IntSet, rule: str = "intervals") -> "IndexSet":

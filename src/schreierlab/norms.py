@@ -459,13 +459,6 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
                     cand = (blockpos,) + chain_from(t + 1)
                     if best_chain is None or cand < best_chain:
                         best_chain = cand
-            if best_chain is None:  # float-mode safety: retake the best
-                best = None
-                for t, s, blockpos in iter_blocks(i, True):
-                    cand_val = powfn(s) + W[t + 1]
-                    if best is None or cand_val > best:
-                        best = cand_val
-                        best_chain = (blockpos,) + chain_from(t + 1)
             memo[i] = best_chain
         return memo[i]
 

@@ -12,7 +12,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -27,19 +29,6 @@ from . import norms, schreier
 from .errors import InvalidInputError
 from .intset import IntSet
 from .vectors import CoeffVector, sup_norm
-
-SUITE_NAMES = (
-    "norm-oracle",
-    "tau-oracle",
-    "lemma22",
-    "jameson",
-    "domination",
-    "sigma",
-    "mpb",
-    "corollary64",
-    "gl-bounds",
-)
-
 
 # -- report plumbing -----------------------------------------------------------
 
@@ -128,11 +117,12 @@ class SuiteReport:
 
 
 def _pmap(fn, tasks: list, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1))
+    with ctx.Pool(workers) as pool:
+        return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
 
 
 def _outcomes(item_fn, item) -> tuple[int, int, str]:
@@ -159,7 +149,7 @@ def _tally(check: str, tag: str, inputs: str, item_fn, items, jobs: int, noun: s
         inputs,
         f"0 {noun} in {checked}",
         f"{bad} {noun}" + (f" ({first})" if first else ""),
-        bad == 0,
+        bad == 0 and checked > 0,  # zero checks verify nothing
     )
 
 
@@ -213,11 +203,8 @@ def _norm_oracle_random(space, p, seed, max_support, window, i):
     yield None if ok else f"float i={i} supp={x.support().to_list()}"
 
 
-def suite_norm_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    sign_indices = sizes.get("sign_indices", 7)
-    randoms = sizes.get("randoms_per_p", 500)
-    max_support = sizes.get("max_support", 9)
-    window = sizes.get("window", 24)
+def suite_norm_oracle(seed: int, jobs: int, *, sign_indices=7, randoms_per_p=500,
+                      max_support=9, window=24) -> list[dict]:
     records = [
         _tally(
             "sign-vectors-exhaustive",
@@ -234,9 +221,9 @@ def suite_norm_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
             _tally(
                 f"random-rational-{space}-p{p}",
                 "engine == oracle, exact and float(1e-9)",
-                _digest("rand", space, p, seed, randoms),
+                _digest("rand", space, p, seed, randoms_per_p),
                 partial(_norm_oracle_random, space, p, seed, max_support, window),
-                range(randoms),
+                range(randoms_per_p),
                 jobs,
                 "mismatches",
             )
@@ -263,17 +250,15 @@ def _tau_random(seed, universe, i):
     yield None if _tau_agrees(sub) else f"i={i} set={sub}"
 
 
-def suite_tau_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    exhaustive_to = sizes.get("exhaustive_universe", 9)
-    random_count = sizes.get("random_count", 10_000)
-    random_universe = sizes.get("random_universe", 12)
-    universe = range(1, exhaustive_to + 1)
+def suite_tau_oracle(seed: int, jobs: int, *, exhaustive_universe=9, random_count=10_000,
+                     random_universe=12) -> list[dict]:
+    universe = range(1, exhaustive_universe + 1)
     tag = "greedy tau1 == exhaustive oracle with verified certificate"
     return [
         _tally(
             "exhaustive-subsets",
             tag,
-            _digest("tau-exhaustive", exhaustive_to),
+            _digest("tau-exhaustive", exhaustive_universe),
             _tau_exhaustive,
             (sub for r in range(len(universe) + 1) for sub in combinations(universe, r)),
             jobs,
@@ -294,75 +279,44 @@ def suite_tau_oracle(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- lemma22 (flat-vector norm bounds) ----------------------------------------------
 
 
-def suite_lemma22(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    max_m = sizes.get("max_m", 20)
-    starts = tuple(sizes.get("starts", (1, 2, 3, 5, 8)))
-    records = []
-    for s in starts:
-        for m in range(1, max_m + 1):
-            chain = schreier.maximal_chain_from(s, m)
-            # Schreier norm, exact for integral p: the norm sees the entries
-            # only through their p-th powers |F|^-1, so one exact S_1 run of
-            # the rational companion certifies every integral p
-            companion = cons.flat_vector(chain, 1, "sp")
-            rs = norms.schreier_norm(companion, 1)
-            for p in (1, 2, 3):
-                ok = 1 <= rs.value_pow <= 2 and rs.check(companion)
-                records.append(
-                    record(
-                        f"sp-exact-s{s}-m{m}-p{p}",
-                        "1 <= flat Schreier norm <= 2^(1/p)",
-                        _digest("lemma22-sp", s, m, p),
-                        "pow in [1, 2]",
-                        rs.value_pow,
-                        ok,
-                    )
-                )
-            # float check at p = 1.5 on the honest float vector
-            xf = cons.flat_vector(chain, 1.5, "sp")
-            rf = norms.schreier_norm(xf, 1.5)
-            lo, hi = 1.0, 2.0 ** (1 / 1.5)
-            ok = lo * (1 - 1e-9) <= rf.value <= hi * (1 + 1e-9) and rf.check(xf)
-            records.append(
-                record(
-                    f"sp-float-s{s}-m{m}-p1.5",
-                    "1 <= flat Schreier norm <= 2^(1/p)",
-                    _digest("lemma22-spf", s, m),
-                    f"value in [{lo}, {hi}]",
-                    rf.value,
-                    ok,
-                )
-            )
-            xb = cons.flat_vector(chain, 2, "bp")
-            for p in (2, 3):
-                rb = norms.baernstein_norm(xb, p)
-                ok = m <= rb.value_pow <= (2**p) * m and rb.check(xb)
-                records.append(
-                    record(
-                        f"bp-exact-s{s}-m{m}-p{p}",
-                        "m^(1/p) <= flat chain norm <= 2 m^(1/p)",
-                        _digest("lemma22-bp", s, m, p),
-                        f"pow in [{m}, {2**p * m}]",
-                        rb.value_pow,
-                        ok,
-                    )
-                )
-            rbf = norms.baernstein_norm(
-                CoeffVector((lo_, hi_, float(v)) for lo_, hi_, v in xb.runs), 1.5
-            )
-            lo, hi = float(m) ** (1 / 1.5), 2 * float(m) ** (1 / 1.5)
-            ok = lo * (1 - 1e-9) <= rbf.value <= hi * (1 + 1e-9)
-            records.append(
-                record(
-                    f"bp-float-s{s}-m{m}-p1.5",
-                    "m^(1/p) <= flat chain norm <= 2 m^(1/p)",
-                    _digest("lemma22-bpf", s, m),
-                    f"value in [{lo:.6f}, {hi:.6f}]",
-                    rbf.value,
-                    ok,
-                )
-            )
-    return records
+_SP_TAG = "1 <= flat Schreier norm <= 2^(1/p)"
+_BP_TAG = "m^(1/p) <= flat chain norm <= 2 m^(1/p)"
+
+
+def _lemma22_chain(s: int, m: int):
+    """The records of the flat vectors on the chain of m maximal sets from s."""
+    chain = schreier.maximal_chain_from(s, m)
+    # Schreier norm, exact for integral p: the norm sees the entries only
+    # through their p-th powers |F|^-1, so one exact S_1 run of the rational
+    # companion certifies every integral p
+    companion = cons.flat_vector(chain, 1, "sp")
+    rs = norms.schreier_norm(companion, 1)
+    ok = 1 <= rs.value_pow <= 2 and rs.check(companion)
+    for p in (1, 2, 3):
+        yield record(f"sp-exact-s{s}-m{m}-p{p}", _SP_TAG, _digest("lemma22-sp", s, m, p),
+                     "pow in [1, 2]", rs.value_pow, ok)
+    # float check at p = 1.5 on the honest float vector
+    xf = cons.flat_vector(chain, 1.5, "sp")
+    rf = norms.schreier_norm(xf, 1.5)
+    lo, hi = 1.0, 2.0 ** (1 / 1.5)
+    ok = lo * (1 - 1e-9) <= rf.value <= hi * (1 + 1e-9) and rf.check(xf)
+    yield record(f"sp-float-s{s}-m{m}-p1.5", _SP_TAG, _digest("lemma22-spf", s, m),
+                 f"value in [{lo}, {hi}]", rf.value, ok)
+    xb = cons.flat_vector(chain, 2, "bp")
+    for p in (2, 3):
+        rb = norms.baernstein_norm(xb, p)
+        ok = m <= rb.value_pow <= (2**p) * m and rb.check(xb)
+        yield record(f"bp-exact-s{s}-m{m}-p{p}", _BP_TAG, _digest("lemma22-bp", s, m, p),
+                     f"pow in [{m}, {2**p * m}]", rb.value_pow, ok)
+    rbf = norms.baernstein_norm(CoeffVector((a, b, float(v)) for a, b, v in xb.runs), 1.5)
+    lo, hi = float(m) ** (1 / 1.5), 2 * float(m) ** (1 / 1.5)
+    ok = lo * (1 - 1e-9) <= rbf.value <= hi * (1 + 1e-9)
+    yield record(f"bp-float-s{s}-m{m}-p1.5", _BP_TAG, _digest("lemma22-bpf", s, m),
+                 f"value in [{lo:.6f}, {hi:.6f}]", rbf.value, ok)
+
+
+def suite_lemma22(seed: int, jobs: int, *, max_m=20, starts=(1, 2, 3, 5, 8)) -> list[dict]:
+    return [r for s in starts for m in range(1, max_m + 1) for r in _lemma22_chain(s, m)]
 
 
 # -- jameson (three-norm inequality) ---------------------------------------------
@@ -384,13 +338,8 @@ def _jameson_upper(p, kp, seed, max_support, window, i):
     yield None if lp_pow <= bound * (1 + 1e-9) else f"i={i} lp^p={lp_pow} bound={bound}"
 
 
-def suite_jameson(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    upper_count = sizes.get("upper_count", 10_000)
-    p_list = tuple(sizes.get("p_list", (1.5, 2.0, 3.0)))
-    max_support = sizes.get("max_support", 12)
-    window = sizes.get("window", 30)
-    max_k = sizes.get("max_k", 10)
-    tail_gap = sizes.get("tail_gap", 20)
+def suite_jameson(seed: int, jobs: int, *, upper_count=10_000, p_list=(1.5, 2.0, 3.0),
+                  max_support=12, window=30, max_k=10, tail_gap=20) -> list[dict]:
     records = []
 
     # the bound constant at p = 2 is exactly 4
@@ -421,36 +370,26 @@ def suite_jameson(seed: int, sizes: dict, jobs: int) -> list[dict]:
         )
 
     # extremal family at p = 2: exact rationals end to end
-    p = 2
-    prev_ratio = None
-    monotone = True
+    p, ratios = 2, []
     for k in range(1, max_k + 1):
         t = k + tail_gap
         x = cons.jameson_extremal(k, t)
         sup = sup_norm(x)
         s1 = norms.schreier_norm(x, 1).value_pow
-        lp_pow = norms.lp_norm_pow(x, p)
-        ratio = lp_pow / (sup ** (p - 1) * s1)
+        ratios.append(norms.lp_norm_pow(x, p) / (sup ** (p - 1) * s1))
         tail_bound = Fraction(2) ** (-t * (p - 1)) * Fraction(2) ** (k * (p - 1) + p - 1)
         target = 3 - Fraction(2) ** (1 - k) - tail_bound
-        ok = (
-            s1 == 1
-            and sup == Fraction(1, 2**k)
-            and ratio >= target
-        )
         records.append(
             record(
                 f"extremal-k{k}",
                 "extremal ratio >= 3 - 2^(1-k) - tail at p=2",
                 _digest("jameson-extremal", k, t),
                 f">= {_fmt(target)}",
-                ratio,
-                ok,
+                ratios[-1],
+                s1 == 1 and sup == Fraction(1, 2**k) and ratios[-1] >= target,
             )
         )
-        if prev_ratio is not None and ratio <= prev_ratio:
-            monotone = False
-        prev_ratio = ratio
+    monotone = all(a < b for a, b in zip(ratios, ratios[1:]))
     records.append(
         record(
             "extremal-monotone",
@@ -479,16 +418,13 @@ def _domination_pair(seed, k, coeff_count, pair_index):
             yield None if res.holds else f"pair={pair_index} space={space} p={p} coeffs={coeffs}"
 
 
-def suite_domination(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    pairs = sizes.get("pairs", 50)
-    k = sizes.get("K", 12)
-    coeff_count = sizes.get("coeffs_per_combo", 100)
+def suite_domination(seed: int, jobs: int, *, pairs=50, K=12, coeffs_per_combo=100) -> list[dict]:
     return [
         _tally(
             "random-pairs",
             "||sum a e_n|| <= C ||sum a e_m|| with C from the truncated index",
-            _digest("domination", seed, pairs, k, coeff_count),
-            partial(_domination_pair, seed, k, coeff_count),
+            _digest("domination", seed, pairs, K, coeffs_per_combo),
+            partial(_domination_pair, seed, K, coeffs_per_combo),
             range(pairs),
             jobs,
             "violations",
@@ -525,8 +461,7 @@ def _sigma(seed, i):
         yield None if ok else f"i={i} p={p}"
 
 
-def suite_sigma(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    count = sizes.get("count", 1000)
+def suite_sigma(seed: int, jobs: int, *, count=1000) -> list[dict]:
     return [
         _tally(
             "contraction",
@@ -543,27 +478,19 @@ def suite_sigma(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- mpb ------------------------------------------------------------------------
 
 
-def suite_mpb(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    n_max = sizes.get("n_max", 25)
+def suite_mpb(seed: int, jobs: int, *, n_max=25) -> list[dict]:
     part = cons.mpb_partition(n_max)
     records = []
-    consumed = 0
-    prev_max = 0
-    ok_all = True
+    consumed = prev_max = 0
     for n in range(1, n_max + 1):
         f, g = part.f(n), part.g(n)
-        ok = True
-        if n == 1:
-            ok &= f.is_empty
-        else:
-            ok &= f.size == consumed and f.min == prev_max + 1
+        ok = f.is_empty if n == 1 else f.size == consumed and f.min == prev_max + 1
         if not f.is_empty:
             ok &= g.min == f.max + 1
         count, cert = schreier.tau1(g)
         ok &= count == n and cert.verify()
         consumed += f.size + g.size
         prev_max = g.max
-        ok_all &= ok
         records.append(
             record(
                 f"level-{n}",
@@ -594,10 +521,7 @@ def suite_mpb(seed: int, sizes: dict, jobs: int) -> list[dict]:
 # -- corollary64 -------------------------------------------------------------------
 
 
-def suite_corollary64(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    pairs = sizes.get("pairs", 20)
-    window = sizes.get("window", 8)
-    n_max = sizes.get("n_max", 10)
+def suite_corollary64(seed: int, jobs: int, *, pairs=20, window=8, n_max=10) -> list[dict]:
     part = cons.mpb_partition(n_max)
     records = []
     for i in range(pairs):
@@ -655,15 +579,13 @@ def _gl_bounds(seed, k, i):
         yield None if good else f"i={i} value={value} bound={bound} ({kind})"
 
 
-def suite_gl_bounds(seed: int, sizes: dict, jobs: int) -> list[dict]:
-    count = sizes.get("count", 200)
-    k = sizes.get("K", 12)
+def suite_gl_bounds(seed: int, jobs: int, *, count=200, K=12) -> list[dict]:
     return [
         _tally(
             "doubling-ensemble",
             "truncated indices for (M, 2M-1, 2M) respect (<=3, <=2, =1, =1, <=2, <=2)",
-            _digest("gl-bounds", seed, count, k),
-            partial(_gl_bounds, seed, k),
+            _digest("gl-bounds", seed, count, K),
+            partial(_gl_bounds, seed, K),
             range(count),
             jobs,
             "violations",
@@ -686,6 +608,64 @@ _SUITES = {
 }
 
 
+SUITE_NAMES = tuple(_SUITES)
+
+# Each suite's sizes are the keyword-only parameters of its function, and
+# their defaults are the one size schema: {suite: {key: default}}.
+SIZES = {name: dict(fn.__kwdefaults__) for name, fn in _SUITES.items()}
+
+
+def _json(v) -> str:
+    return json.dumps(v, separators=(",", ":"), default=repr)
+
+
+def describe_sizes(name: str) -> str:
+    return " ".join(f"{key}={_json(v)}" for key, v in SIZES[name].items())
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+def _number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def check_sizes(name: str, sizes: dict) -> None:
+    """Refuse a key the suite does not declare, a value unlike its default
+    (an int takes an int >= 1, a tuple a non-empty list of its entries'
+    kind), and the size combinations the suite cannot run."""
+    schema = SIZES[name]
+    for key, value in sizes.items():
+        if key not in schema:
+            raise InvalidInputError(
+                f"--size {key} wants one of {name}'s sizes: {describe_sizes(name)}"
+            )
+        default = schema[key]
+        if isinstance(default, tuple):
+            ints = type(default[0]) is int
+            entry = _count if ints else _number
+            ok = type(value) in (list, tuple) and len(value) > 0 and all(map(entry, value))
+            want = f"a non-empty list of {'integers >= 1' if ints else 'finite numbers'}"
+        else:
+            ok, want = _count(value), "an integer >= 1"
+        if not ok:
+            raise InvalidInputError(
+                f"--size {key} wants {want} ({name} default {_json(default)}), got {_json(value)}"
+            )
+    s = {**schema, **sizes}
+    if s.get("window", math.inf) < s.get("max_support", 0):
+        raise InvalidInputError(
+            f"--size window wants at least max_support: {name} draws up to "
+            f"max_support={s['max_support']} indices from 1..window={s['window']}"
+        )
+    if any(p <= 1 for p in s.get("p_list", ())):
+        raise InvalidInputError(
+            f"--size p_list wants entries > 1: {name}'s K_p divides by 2^(p-1) - 1, "
+            f"got {_json(s['p_list'])}"
+        )
+
+
 def run_suite(
     name: str,
     seed: int = 0,
@@ -693,14 +673,19 @@ def run_suite(
     jobs: int = 1,
     out_dir=None,
 ) -> SuiteReport:
-    """Execute one named verification suite; optionally persist the report."""
+    """Execute one named verification suite; optionally persist the report.
+
+    The sizes pass check_sizes before any work; the report's params are
+    exactly the sizes given, defaults left out.
+    """
     if name not in _SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     sizes = dict(sizes or {})
+    check_sizes(name, sizes)
     t0 = time.perf_counter()
-    records = _SUITES[name](seed, sizes, jobs)
+    records = _SUITES[name](seed, jobs, **sizes)
     elapsed = time.perf_counter() - t0
     params = {k: list(v) if isinstance(v, tuple) else v for k, v in sizes.items()}
     report = SuiteReport(

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from schreierlab import cli
+from schreierlab import cli, suites
 
 
 def run_cli(capsys, *argv):
@@ -228,3 +228,67 @@ def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert err == "error (internal): RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "suite, size, knobs",
+    [
+        ("sigma", "count=[1,2]", ["count"]),
+        ("sigma", "cnt=5", ["cnt", "count=1000"]),
+        ("sigma", "count=0", ["count"]),
+        ("lemma22", "max_m=0", ["max_m"]),
+        ("lemma22", "starts=[]", ["starts"]),
+        ("domination", "K=0", ["K"]),
+        ("norm-oracle", "max_support=0", ["max_support"]),
+        ("jameson", "p_list=[1]", ["p_list"]),
+        ("norm-oracle", "window=5", ["window", "max_support"]),
+        ("norm-oracle", "max_support=30", ["window", "max_support"]),
+        ("jameson", "window=5", ["window", "max_support"]),
+        ("all", "cnt=5", ["cnt"]),
+        ("all", "starts=[]", ["starts"]),
+        ("all", "window=5", ["window", "max_support"]),
+    ],
+)
+def test_verify_refuses_sizes_before_any_work(tmp_path, capsys, suite, size, knobs):
+    code, out, err = run_cli(
+        capsys, "verify", suite, "--out", str(tmp_path), "--size", size
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --size ") and err.count("\n") == 1
+    assert all(k in err for k in knobs)
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
+def test_verify_all_hands_each_suite_only_its_own_sizes(tmp_path, capsys):
+    small = {
+        "count": 5, "sign_indices": 2, "randoms_per_p": 2, "exhaustive_universe": 3,
+        "random_count": 5, "max_m": 2, "starts": [3], "upper_count": 5, "max_k": 2,
+        "pairs": 2, "K": 4, "coeffs_per_combo": 2,
+    }
+    argv = [f"--size={k}={json.dumps(v)}" for k, v in small.items()]
+    code, out, _ = run_cli(capsys, "verify", "all", "--out", str(tmp_path), *argv)
+    assert code == 0
+    assert out.count("PASS ") == len(suites.SUITE_NAMES)
+    for name in suites.SUITE_NAMES:
+        params = json.loads((tmp_path / f"{name}.json").read_text())["params"]
+        assert params == {k: v for k, v in small.items() if k in suites.SIZES[name]}
+    assert [
+        name for name in suites.SUITE_NAMES
+        if "count" in json.loads((tmp_path / f"{name}.json").read_text())["params"]
+    ] == ["sigma", "gl-bounds"]
+
+
+def test_verify_help_lists_every_size_with_its_default(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    for literal in ("count=1000", "K=12", "starts=[1,2,3,5,8]", "p_list=[1.5,2.0,3.0]"):
+        assert literal in out
+    for name, schema in suites.SIZES.items():
+        line = next(line for line in out.splitlines() if line.split()[:1] == [name])
+        for key, default in schema.items():
+            shown = json.dumps(
+                list(default) if isinstance(default, tuple) else default,
+                separators=(",", ":"),
+            )
+            assert f" {key}={shown}" in line

@@ -49,6 +49,49 @@ def test_rule_sets():
         u2.element(4)
 
 
+def _count_element_calls(idx, calls):
+    inner = idx.element
+
+    def counted(j):
+        calls.append(j)
+        return inner(j)
+
+    idx.element = counted
+    return idx
+
+
+def test_union_merges_each_base_element_once():
+    calls = []
+    a = _count_element_calls(IndexSet.arithmetic(1, 3), calls)
+    b = _count_element_calls(IndexSet.arithmetic(2, 5), calls)
+    k = 4000
+    got = IndexSet.union(a, b).prefix(k)
+    assert len(calls) <= 2 * k + 2
+    want = sorted({1 + 3 * i for i in range(k)} | {2 + 5 * i for i in range(k)})[:k]
+    assert got == tuple(want)
+
+
+def test_union_matches_sorted_set_union_on_random_prefixes():
+    rng = random.Random(5)
+    for _ in range(50):
+        xs, ys = rand_prefix(rng, rng.randint(1, 12)), rand_prefix(rng, rng.randint(1, 12))
+        u = IndexSet.union(IndexSet.explicit(xs), IndexSet.explicit(ys))
+        want = sorted(set(xs) | set(ys))
+        assert u.prefix(len(want)) == tuple(want)
+
+
+def test_union_keeps_refusing_past_exhaustion():
+    u = IndexSet.union(IndexSet.explicit([1, 3]), IndexSet.explicit([2, 3, 5]))
+    assert u.prefix(4) == (1, 2, 3, 5)
+    for _ in range(2):
+        with pytest.raises(
+            sl.TruncationError,
+            match=r"^union of \(explicit\) and \(explicit\) exhausted at length 4$",
+        ):
+            u.element(5)
+    assert u.element(4) == 5
+
+
 def test_contains():
     evens = IndexSet.evens()
     assert evens.contains(8) and not evens.contains(7)
