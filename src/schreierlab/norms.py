@@ -31,7 +31,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
@@ -42,9 +41,9 @@ from .errors import (
 from .intset import EMPTY, IntSet
 from .schreier import (
     SchreierChain,
+    _blocks,
     _check_oracle_size,
     as_positive_intset,
-    enumerate_schreier_subsets,
     is_schreier,
 )
 from .vectors import CoeffVector, Scalar
@@ -555,29 +554,21 @@ def norm(x: CoeffVector, p, space: str, mode: str = "auto") -> NormResult:
 def _bp_oracle_pow(pairs: list[tuple[int, Scalar]], powfn) -> Pow:
     """Exhaustive max of sum(block-sum^p) over every chain in the support.
 
-    Visits each chain once: pick the first block (its minimum plus at most
-    min-1 later support points), close it, recurse beyond its maximum.
+    best[i] is the best chain inside support points i..n-1: it skips point i,
+    or it opens with any admissible block at i (none pruned, unlike the top-k
+    rule _bp_dp relies on) and goes on with the best chain past that block.
     """
+    elems = [q for q, _ in pairs]
     n = len(pairs)
-    best: Pow = 0
-
-    def rec(start: int, acc: Pow) -> None:
-        nonlocal best
-        for i in range(start, n):
-            m, v = pairs[i]
-            cap = min(m - 1, n - i - 1)
-            for r in range(cap + 1):
-                for comb in combinations(range(i + 1, n), r):
-                    s = v
-                    for j in comb:
-                        s = s + pairs[j][1]
-                    acc2 = acc + powfn(s)
-                    if acc2 > best:
-                        best = acc2
-                    rec((comb[-1] if comb else i) + 1, acc2)
-
-    rec(0, 0)
-    return best
+    best: list[Pow] = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        top = best[i + 1]
+        for b in _blocks(elems, i):
+            cand = powfn(sum(pairs[j][1] for j in b)) + best[b[-1] + 1]
+            if cand > top:
+                top = cand
+        best[i] = top
+    return best[0]
 
 
 def oracle_norm_pow(x: CoeffVector, p, space: str, mode: str = "auto") -> Pow:
@@ -585,22 +576,17 @@ def oracle_norm_pow(x: CoeffVector, p, space: str, mode: str = "auto") -> Pow:
     if space not in (SPACE_SCHREIER, SPACE_BAERNSTEIN):
         raise InvalidInputError(f"unknown space {space!r}")
     validate_exponent(p, space)
-    supp = x.support()
-    _check_oracle_size(supp, "oracle_norm")
-    m = resolve_mode(x, p, mode)
-    powfn = _powfn(p, m)
-    if space == SPACE_SCHREIER:
-        lookup = dict(x.abs().pairs())
-        best: Pow = 0
-        for f in enumerate_schreier_subsets(supp):
-            s: Pow = 0
-            for q in f.iter_elements():
-                s = s + powfn(lookup[q])
-            if s > best:
-                best = s
-        return best
-    pairs = [(q, v) for q, v in x.abs().pairs()]
-    return _bp_oracle_pow(pairs, powfn)
+    _check_oracle_size(x.support(), "oracle_norm")
+    powfn = _powfn(p, resolve_mode(x, p, mode))
+    pairs = x.abs().pairs()
+    if space == SPACE_BAERNSTEIN:
+        return _bp_oracle_pow(pairs, powfn)
+    elems = [q for q, _ in pairs]
+    pw = [powfn(v) for _, v in pairs]
+    return max(
+        (sum(pw[j] for j in b) for i in range(len(elems)) for b in _blocks(elems, i)),
+        default=0,
+    )
 
 
 def oracle_norm(x: CoeffVector, p, space: str, mode: str = "auto") -> float:

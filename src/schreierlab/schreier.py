@@ -243,34 +243,36 @@ def _tau1_count_sorted(elems) -> int:
     return count
 
 
+def _blocks(elems, i: int) -> Iterator[tuple[int, ...]]:
+    """Every admissible block whose minimum is elems[i], as sorted indices.
+
+    A block is its minimum plus at most min-1 later points.  Blocks come
+    smallest first, and blocks of one size in combinations order.
+    """
+    n = len(elems)
+    for r in range(min(elems[i] - 1, n - i - 1) + 1):
+        for comb in combinations(range(i + 1, n), r):
+            yield (i,) + comb
+
+
 def enumerate_schreier_subsets(s) -> Iterator[IntSet]:
     """Every Schreier subset of S, exactly once, starting with the empty set."""
     base = as_positive_intset(s)
     _check_oracle_size(base, "enumerate_schreier_subsets")
     elems = tuple(base.to_list())
     yield EMPTY
-    n = len(elems)
-    for i in range(n):
-        m = elems[i]
-        rest = elems[i + 1 :]
-        for r in range(0, min(m - 1, n - i - 1) + 1):
-            for comb in combinations(rest, r):
-                yield IntSet.from_iterable((m,) + comb)
+    for i in range(len(elems)):
+        for b in _blocks(elems, i):
+            yield IntSet.from_iterable(elems[j] for j in b)
 
 
-def _iter_chain_tuples(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All chains (as tuples of sorted blocks) whose union lies in elems."""
-    n = len(elems)
-    for i in range(n):
-        m = elems[i]
-        rest = elems[i + 1 :]
-        for r in range(0, min(m - 1, n - i - 1) + 1):
-            for comb in combinations(rest, r):
-                block = (m,) + comb
-                yield (block,)
-                tail = tuple(e for e in elems if e > block[-1])
-                for t in _iter_chain_tuples(tail):
-                    yield (block,) + t
+def _chains(elems, start: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All chains (as tuples of index blocks) inside elems[start:]."""
+    for i in range(start, len(elems)):
+        for b in _blocks(elems, i):
+            yield (b,)
+            for t in _chains(elems, b[-1] + 1):
+                yield (b,) + t
 
 
 def enumerate_chains(s) -> Iterator[SchreierChain]:
@@ -278,8 +280,8 @@ def enumerate_chains(s) -> Iterator[SchreierChain]:
     base = as_positive_intset(s)
     _check_oracle_size(base, "enumerate_chains")
     elems = tuple(base.to_list())
-    for chain in _iter_chain_tuples(elems):
-        yield SchreierChain(IntSet.from_iterable(b) for b in chain)
+    for chain in _chains(elems, 0):
+        yield SchreierChain(IntSet.from_iterable(elems[j] for j in b) for b in chain)
 
 
 def maximal_chain_from(start: int, count: int) -> SchreierChain:

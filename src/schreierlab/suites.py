@@ -659,6 +659,16 @@ def check_sizes(name: str, sizes: dict) -> None:
             f"--size window wants at least max_support: {name} draws up to "
             f"max_support={s['max_support']} indices from 1..window={s['window']}"
         )
+    if name == "corollary64" and s["n_max"] < 9:
+        raise InvalidInputError(
+            f"--size n_max wants at least 9: every N that {name} draws holds 9, so L_N "
+            f"needs the partition through J_9, got n_max={s['n_max']}"
+        )
+    if s.get("window", 0) > s.get("n_max", math.inf):
+        raise InvalidInputError(
+            f"--size window wants at most n_max: {name} certifies m in 2..window={s['window']} "
+            f"on a partition materialized through n_max={s['n_max']}"
+        )
     if any(p <= 1 for p in s.get("p_list", ())):
         raise InvalidInputError(
             f"--size p_list wants entries > 1: {name}'s K_p divides by 2^(p-1) - 1, "

@@ -247,6 +247,10 @@ def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
         ("all", "cnt=5", ["cnt"]),
         ("all", "starts=[]", ["starts"]),
         ("all", "window=5", ["window", "max_support"]),
+        ("corollary64", "n_max=8", ["n_max"]),
+        ("corollary64", "window=11", ["window", "n_max"]),
+        ("all", "n_max=3", ["n_max"]),
+        ("all", "window=12", ["window", "n_max"]),
     ],
 )
 def test_verify_refuses_sizes_before_any_work(tmp_path, capsys, suite, size, knobs):
