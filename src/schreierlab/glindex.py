@@ -10,7 +10,6 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, TruncationError
@@ -201,31 +200,23 @@ class TruncatedGLIndex:
 def gl_index_truncated(m: IndexSet, n: IndexSet, k: int) -> TruncatedGLIndex:
     """Maximize tau1(M(J)) over J within {1..K} such that N(J) is Schreier.
 
-    Enumeration by smallest index j1: N(J) Schreier forces |J| <= n_{j1}, and
-    enlarging J cannot decrease tau1(M(J)), so only maximal selections are
-    searched.  A branch is pruned when even tau1 of M({j1..K}) cannot beat the
-    incumbent.  The witness is the lexicographically smallest maximal
-    selection attaining the value, independent of any parallel schedule.
+    Fix the smallest index j1.  N(J) Schreier forces |J| <= n_{j1}, and
+    enlarging J cannot decrease tau1(M(J)), so J may have size
+    cap = min(n_{j1}, K - j1 + 1).  The i-th element of such a J is at least
+    j1 + i - 1, so M(J) is a spread of M({j1, ..., j1 + cap - 1}), and tau1
+    cannot grow under spreads: that window is optimal for j1.  The index is
+    the max over the K windows, O(K * cap).  The witness is the window at
+    the smallest j1 attaining the value, which is the lexicographically
+    smallest maximal selection attaining it.
     """
     if k < 1:
         raise InvalidInputError("K must be positive")
     mp = m.prefix(k)
     np_ = n.prefix(k)
-    best_value = 0
-    best_witness: tuple[int, ...] = ()
-    for j1 in range(1, k + 1):
-        tail = mp[j1 - 1 :]
-        if _tau1_count_sorted(tail) <= best_value:
-            continue
-        cap = min(np_[j1 - 1], k - j1 + 1)
-        for comb in combinations(range(j1 + 1, k + 1), cap - 1):
-            j_sel = (j1,) + comb
-            chosen = tuple(mp[j - 1] for j in j_sel)
-            t = _tau1_count_sorted(chosen)
-            if t > best_value:
-                best_value = t
-                best_witness = j_sel
-    return TruncatedGLIndex(best_value, IntSet.from_iterable(best_witness), k)
+    windows = [(j1, j1 + min(np_[j1 - 1], k - j1 + 1) - 1) for j1 in range(1, k + 1)]
+    values = [_tau1_count_sorted(mp[lo - 1 : hi]) for lo, hi in windows]
+    best = values.index(max(values))
+    return TruncatedGLIndex(values[best], IntSet.interval(*windows[best]), k)
 
 
 def theta_fiber_stats(theta: dict[int, int], schreier_window: Iterable) -> tuple[int, int]:

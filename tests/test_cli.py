@@ -161,6 +161,20 @@ def test_verify_reports_are_byte_reproducible(tmp_path, capsys):
     assert (a_dir / "sigma.csv").read_bytes() == (b_dir / "sigma.csv").read_bytes()
 
 
+def test_verify_domination_at_large_k_finishes(tmp_path, capsys):
+    # the truncated index is a max over K windows, so K=40 is as cheap as
+    # K=12; no timing bound, a return to exponential search hangs here
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "domination", "--out", str(tmp_path),
+        "--size", "K=40", "--size", "pairs=2", "--size", "coeffs_per_combo=2",
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if "PASS" in line] == [
+        "PASS domination: 1/1 checks"
+    ]
+
+
 def test_verify_unknown_suite_is_parse_error(capsys):
     code, _, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2

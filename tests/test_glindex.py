@@ -13,6 +13,21 @@ def rand_prefix(rng, length=14, max_start=4, max_gap=4):
     return out
 
 
+def rand_index_set(rng, length):
+    """An explicit prefix or one of the rule-backed sets, at least `length` long."""
+    base = IndexSet.explicit(rand_prefix(rng, length=length))
+    kind = rng.choice(["explicit", "arithmetic", "doubled", "doubled_minus_one", "union"])
+    if kind == "arithmetic":
+        return IndexSet.arithmetic(rng.randint(1, 4), rng.randint(1, 4))
+    if kind == "doubled":
+        return IndexSet.doubled(base)
+    if kind == "doubled_minus_one":
+        return IndexSet.doubled_minus_one(base)
+    if kind == "union":
+        return IndexSet.union(IndexSet.doubled_minus_one(base), IndexSet.doubled(base))
+    return base
+
+
 # -- index sets ----------------------------------------------------------------
 
 
@@ -192,6 +207,26 @@ def test_tau1_monotone_under_selection():
         assert t_small <= t_big
 
 
+def test_window_selection_is_dominated_by_spreads():
+    # every J with minimum j1 and |J| = cap has j_i >= j1 + i - 1, so M(J) is
+    # a spread of M(window) and cannot have a larger tau1: the window
+    # {j1..j1+cap-1} is optimal for j1
+    from itertools import combinations as combos
+
+    rng = random.Random(43)
+    for _ in range(60):
+        m, n = rand_index_set(rng, 10), rand_index_set(rng, 10)
+        k = rng.randint(1, 10)
+        j1 = rng.randint(1, k)
+        cap = min(n.element(j1), k - j1 + 1)
+        window = m.select(IntSet.interval(j1, j1 + cap - 1))
+        t_window, _ = sl.tau1(window)
+        for rest in combos(range(j1 + 1, k + 1), cap - 1):
+            chosen = m.select((j1,) + rest)
+            assert sl.is_spread(window, chosen)
+            assert sl.tau1(chosen)[0] <= t_window
+
+
 def test_gl_index_monotone_in_k():
     rng = random.Random(7)
     for _ in range(10):
@@ -222,6 +257,15 @@ def test_gl_index_determinism():
     a = sl.gl_index_truncated(m, n, 10)
     b = sl.gl_index_truncated(IndexSet.naturals(), IndexSet.evens(), 10)
     assert a == b
+
+
+def test_gl_index_large_k_witness():
+    # no timing bound: an exponential search does not finish at K=400
+    m, n = IndexSet.naturals(), IndexSet.evens()
+    r = sl.gl_index_truncated(m, n, 400)
+    assert r.k == 400 and r.witness.max <= 400
+    assert sl.is_schreier(n.select(r.witness))
+    assert sl.tau1(m.select(r.witness))[0] == r.value
 
 
 def test_gl_index_validation():
@@ -292,19 +336,29 @@ def test_check_domination_validates_length():
 
 
 def test_gl_index_value_matches_unrestricted_brute_force():
-    # the search enumerates only maximal selections; brute force over every
-    # feasible J (any subset of 1..K with N(J) Schreier) must agree
+    # independent reference: brute force over every feasible J (any subset of
+    # 1..K with N(J) Schreier) gives the value; the witness is the
+    # lexicographically smallest J with |J| = min(n_{min J}, K - min J + 1)
+    # attaining it
     from itertools import combinations as combos
 
     rng = random.Random(47)
-    for _ in range(25):
-        m = IndexSet.explicit(rand_prefix(rng, length=10))
-        n = IndexSet.explicit(rand_prefix(rng, length=10))
-        k = rng.randint(1, 8)
-        brute = 0
-        universe = list(range(1, k + 1))
-        for r in range(1, k + 1):
-            for j_sel in combos(universe, r):
-                if sl.is_schreier(n.select(j_sel)):
-                    brute = max(brute, sl.tau1(m.select(j_sel))[0])
-        assert sl.gl_index_truncated(m, n, k).value == brute
+    for _ in range(40):
+        m, n = rand_index_set(rng, 10), rand_index_set(rng, 10)
+        k = rng.randint(1, 9)
+        feasible = [
+            j_sel
+            for r in range(1, k + 1)
+            for j_sel in combos(range(1, k + 1), r)
+            if sl.is_schreier(n.select(j_sel))
+        ]
+        brute = max(sl.tau1(m.select(j_sel))[0] for j_sel in feasible)
+        witness = min(
+            j_sel
+            for j_sel in feasible
+            if len(j_sel) == min(n.element(j_sel[0]), k - j_sel[0] + 1)
+            and sl.tau1(m.select(j_sel))[0] == brute
+        )
+        r = sl.gl_index_truncated(m, n, k)
+        assert r.value == brute
+        assert r.witness == IntSet.from_iterable(witness)
