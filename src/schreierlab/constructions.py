@@ -128,7 +128,7 @@ def l_set(part: MPBPartition, n_idx: IndexSet, through: int) -> IndexSet:
         raise TruncationError(
             f"partition materialized through {part.n_max}, requested {through}"
         )
-    union = EMPTY
+    ivs = []
     j = 1
     while True:
         try:
@@ -137,9 +137,9 @@ def l_set(part: MPBPartition, n_idx: IndexSet, through: int) -> IndexSet:
             break
         if n > through:
             break
-        union = union.union(part.j(n))
+        ivs.extend(part.j(n).intervals)
         j += 1
-    return IndexSet.from_intset(union, rule=f"L({n_idx.rule})<={through}")
+    return IndexSet.from_intset(IntSet(ivs), rule=f"L({n_idx.rule})<={through}")
 
 
 def divergence_witness(part: MPBPartition, m_idx: IndexSet, n_idx: IndexSet, m: int) -> IntSet:

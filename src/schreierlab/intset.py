@@ -97,66 +97,51 @@ class IntSet:
             return f"IntSet({self.to_list()})"
         return f"IntSet(<{self._size} elements in {len(self._ivs)} intervals>)"
 
+    def _slice(self, o1: int, o2: int) -> list[tuple[int, int]]:
+        """Intervals holding the o1-th through o2-th smallest elements (1-based).
+
+        One walk over the intervals; the caller checks 1 <= o1 and o2 <= size,
+        and o1 > o2 gives no intervals.
+        """
+        out = []
+        base = 0  # ordinals before the current interval
+        for lo, hi in self._ivs:
+            top = base + hi - lo + 1  # ordinal of hi
+            if top >= o1:
+                if base >= o2:
+                    break
+                a, b = max(o1, base + 1), min(o2, top)
+                if a <= b:
+                    out.append((lo + a - base - 1, lo + b - base - 1))
+            base = top
+        return out
+
     def element_at(self, ordinal: int) -> int:
         """1-based: the ordinal-th smallest element."""
         if not 1 <= ordinal <= self._size:
             raise InvalidInputError(f"ordinal {ordinal} out of range 1..{self._size}")
-        rem = ordinal
-        for lo, hi in self._ivs:
-            n = hi - lo + 1
-            if rem <= n:
-                return lo + rem - 1
-            rem -= n
-        raise AssertionError("unreachable")
+        return self._slice(ordinal, ordinal)[0][0]
 
     def first_k(self, k: int) -> "IntSet":
         """The k smallest elements."""
         if k < 0 or k > self._size:
             raise InvalidInputError(f"cannot take first {k} of {self._size} elements")
-        out = []
-        rem = k
-        for lo, hi in self._ivs:
-            if rem == 0:
-                break
-            n = hi - lo + 1
-            take = min(n, rem)
-            out.append((lo, lo + take - 1))
-            rem -= take
-        return IntSet(out)
+        return IntSet(self._slice(1, k))
 
     def drop_first(self, k: int) -> "IntSet":
         if k < 0 or k > self._size:
             raise InvalidInputError(f"cannot drop first {k} of {self._size} elements")
-        out = []
-        rem = k
-        for lo, hi in self._ivs:
-            n = hi - lo + 1
-            if rem >= n:
-                rem -= n
-                continue
-            out.append((lo + rem, hi))
-            rem = 0
-        return IntSet(out)
+        return IntSet(self._slice(k + 1, self._size))
 
     def select_ordinals(self, ordinals: "IntSet") -> "IntSet":
         """Subset at the given 1-based ordinal positions."""
         if ordinals.is_empty:
             return EMPTY
-        if ordinals.max > self._size:
+        if ordinals.min < 1 or ordinals.max > self._size:
             raise InvalidInputError(
-                f"ordinal {ordinals.max} out of range 1..{self._size}"
+                f"ordinals {ordinals.min}..{ordinals.max} out of range 1..{self._size}"
             )
-        out = []
-        base = 0  # ordinals before the current interval
-        for lo, hi in self._ivs:
-            n = hi - lo + 1
-            for olo, ohi in ordinals._ivs:
-                a = max(olo, base + 1)
-                b = min(ohi, base + n)
-                if a <= b:
-                    out.append((lo + a - base - 1, lo + b - base - 1))
-            base += n
-        return IntSet(out)
+        return IntSet(iv for olo, ohi in ordinals._ivs for iv in self._slice(olo, ohi))
 
     def intersection(self, other: "IntSet") -> "IntSet":
         out = []

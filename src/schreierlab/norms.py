@@ -45,6 +45,7 @@ from .schreier import (
     _check_oracle_size,
     as_positive_intset,
     is_schreier,
+    tau1,
 )
 from .vectors import CoeffVector, Scalar
 
@@ -305,11 +306,6 @@ def _ordinal_runs(x: CoeffVector, weightfn) -> list[tuple[int, int, int, Pow]]:
     return recs
 
 
-def _position(recs, o: int) -> int:
-    """Support position of ordinal o."""
-    return next(pos_lo + (o - a) for a, b, pos_lo, _ in recs if a <= o <= b)
-
-
 def _ordinal_range_sum(recs, o1: int, o2: int) -> Pow:
     """Sum of weights over ordinals o1..o2 (inclusive)."""
     total: Pow = 0
@@ -335,6 +331,7 @@ def _window_best(x: CoeffVector, weightfn) -> tuple[Pow, int, int]:
     """
     recs = _ordinal_runs(x, weightfn)
     n = recs[-1][1]
+    support = x.support()
     boundaries = set()
     for a, b, _, _ in recs:
         boundaries.update((a - 1, a, b, b + 1))
@@ -354,7 +351,7 @@ def _window_best(x: CoeffVector, weightfn) -> tuple[Pow, int, int]:
     best: Pow | None = None
     best_o = best_e = 0
     for o in sorted(candidates):
-        e = min(o + _position(recs, o) - 1, n)
+        e = min(o + support.element_at(o) - 1, n)
         s = _ordinal_range_sum(recs, o, e)
         if best is None or s > best:
             best, best_o, best_e = s, o, e
@@ -475,7 +472,7 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     satisfy b_i <= W*, sum(b_i) <= T (total mass); pushing to extremes gives
     ||x||^p <= floor(T/W*) * W*^p + (T - floor(T/W*) W*)^p.
 
-    Lower bound: the greedy chain of maximal ordinal intervals.  The value is
+    Lower bound: tau1's greedy covering chain of the support.  The value is
     returned only when the two bounds meet (exactly in exact mode, within
     1e-9 relative in float mode); the greedy chain is then optimal and serves
     as the witness.
@@ -484,17 +481,8 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     wstar, _, _ = _window_best(x, lambda a: a)
     total = x.total_abs()
 
-    recs = _ordinal_runs(x, lambda a: a)
-    n = recs[-1][1]
-    support = x.support()
-    blocks = []
-    lower: Pow = 0
-    o = 1
-    while o <= n:
-        k = min(_position(recs, o), n - o + 1)
-        blocks.append(support.select_ordinals(IntSet.interval(o, o + k - 1)))
-        lower = lower + powfn(_ordinal_range_sum(recs, o, o + k - 1))
-        o += k
+    chain = SchreierChain(tau1(x.support())[1].chain)
+    lower = beta_p_pow(x, chain, p, mode)
 
     if mode == "exact":
         k_full = math.floor(Fraction(total) / Fraction(wstar))
@@ -511,7 +499,7 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
             "support too large for the exact chain DP and the two-sided "
             f"bound is not tight (lower {float(lower):.12g}, upper {float(upper):.12g})"
         )
-    return lower, SchreierChain(blocks)
+    return lower, chain
 
 
 def baernstein_norm(

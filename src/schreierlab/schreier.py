@@ -72,28 +72,13 @@ def is_spread(f, g) -> bool:
         raise InvalidInputError(
             f"spread comparison needs equal sizes, got {fs.size} and {gs.size}"
         )
-    # Walk both interval lists in ordinal lockstep; within a common segment the
-    # difference g_i - f_i is constant, so one comparison per segment suffices.
-    o = 1
-    n = fs.size
-    fi = gi = 0
-    fbase = gbase = 0  # ordinals before the current interval
-    while o <= n:
-        flo, fhi = fs.intervals[fi]
-        glo, ghi = gs.intervals[gi]
-        fval = flo + (o - fbase - 1)
-        gval = glo + (o - gbase - 1)
-        if fval > gval:
+    # f strictly increases, so along one interval of G the gap g_i - f_i only
+    # shrinks: checking each interval's last ordinal is enough.
+    o = 0
+    for glo, ghi in gs.intervals:
+        o += ghi - glo + 1
+        if fs.element_at(o) > ghi:
             return False
-        fend = fbase + (fhi - flo + 1)
-        gend = gbase + (ghi - glo + 1)
-        o = min(fend, gend) + 1
-        if o > fend:
-            fbase = fend
-            fi += 1
-        if o > gend:
-            gbase = gend
-            gi += 1
     return True
 
 
@@ -123,10 +108,7 @@ class SchreierChain:
         return self._sets
 
     def union(self) -> IntSet:
-        out = EMPTY
-        for s in self._sets:
-            out = out.union(s)
-        return out
+        return IntSet(iv for s in self._sets for iv in s.intervals)
 
     def __len__(self) -> int:
         return len(self._sets)
@@ -166,7 +148,6 @@ class CoveringCertificate:
         return len(self.chain)
 
     def verify(self) -> bool:
-        union = EMPTY
         for i, block in enumerate(self.chain):
             if block.is_empty or block.size > block.min:
                 return False
@@ -174,7 +155,7 @@ class CoveringCertificate:
                 return False
             if i < len(self.chain) - 1 and block.size != block.min:
                 return False
-            union = union.union(block)
+        union = IntSet(iv for block in self.chain for iv in block.intervals)
         return self.covered.issubset(union)
 
     def to_json_obj(self) -> dict:
@@ -196,11 +177,11 @@ def tau1(a) -> tuple[int, CoveringCertificate]:
     """
     s = as_positive_intset(a)
     blocks: list[IntSet] = []
-    rest = s
-    while not rest.is_empty:
-        k = min(rest.min, rest.size)
-        blocks.append(rest.first_k(k))
-        rest = rest.drop_first(k)
+    o, n = 1, s.size
+    while o <= n:
+        k = min(s.element_at(o), n - o + 1)
+        blocks.append(s.select_ordinals(IntSet.interval(o, o + k - 1)))
+        o += k
     cert = CoveringCertificate(chain=tuple(blocks), covered=s)
     return len(blocks), cert
 

@@ -501,9 +501,7 @@ def suite_mpb(seed: int, jobs: int, *, n_max=25) -> list[dict]:
                 ok,
             )
         )
-    union = IntSet(())
-    for n in range(1, n_max + 1):
-        union = union.union(part.j(n))
+    union = IntSet(iv for n in range(1, n_max + 1) for iv in part.j(n).intervals)
     contiguous = union == IntSet.interval(1, union.max)
     records.append(
         record(

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from schreierlab import IntSet, InvalidInputError, SizeLimitError
 from schreierlab.intset import EMPTY, as_intset, successive
@@ -49,12 +50,52 @@ def test_select_ordinals():
     assert s.select_ordinals(EMPTY) == EMPTY
     with pytest.raises(InvalidInputError):
         s.select_ordinals(IntSet.interval(1, 8))
+    with pytest.raises(InvalidInputError):
+        s.select_ordinals(IntSet([(0, 2)]))
 
 
 def test_select_ordinals_huge_set_stays_cheap():
     s = IntSet.interval(1, 2**50)
     picked = s.select_ordinals(IntSet.interval(2**49, 2**49 + 2))
     assert picked == IntSet.interval(2**49, 2**49 + 2)
+
+
+small_sets = st.lists(
+    st.tuples(st.integers(-20, 60), st.integers(0, 6)), min_size=1, max_size=8
+).map(lambda ivs: IntSet((lo, lo + w) for lo, w in ivs))
+
+
+@given(small_sets, st.data())
+def test_ordinal_ops_match_list_indexing(s, data):
+    elems = s.to_list()
+    n = len(elems)
+    k = data.draw(st.integers(0, n))
+    assert [s.element_at(o) for o in range(1, n + 1)] == elems
+    assert s.first_k(k) == IntSet.from_iterable(elems[:k])
+    assert s.drop_first(k) == IntSet.from_iterable(elems[k:])
+    ords = data.draw(st.sets(st.integers(1, n)))
+    assert s.select_ordinals(IntSet.from_iterable(ords)) == IntSet.from_iterable(
+        elems[o - 1] for o in ords
+    )
+
+
+def test_ordinal_ops_past_2_50_at_both_ends():
+    lo, hi = 2**50, 2**52
+    s = IntSet([(3, 5), (lo, lo + 9), (hi - 4, hi)])
+    n = s.size
+    assert n == 3 + 10 + 5
+    assert s.element_at(1) == 3 and s.element_at(4) == lo and s.element_at(n) == hi
+    assert s.first_k(5) == IntSet([(3, 5), (lo, lo + 1)])
+    assert s.drop_first(12) == IntSet([(lo + 9, lo + 9), (hi - 4, hi)])
+    picked = s.select_ordinals(IntSet([(2, 3), (13, 14), (n, n)]))
+    assert picked == IntSet([(4, 5), (lo + 9, lo + 9), (hi - 4, hi - 4), (hi, hi)])
+    huge = IntSet([(1, 2**51), (2**52, 2**53)])
+    m = huge.size
+    assert huge.element_at(2**51 + 1) == 2**52 and huge.element_at(m) == 2**53
+    assert huge.drop_first(m - 2) == IntSet.interval(2**53 - 1, 2**53)
+    assert huge.select_ordinals(IntSet([(1, 1), (2**51, 2**51 + 1), (m, m)])) == IntSet(
+        [(1, 1), (2**51, 2**51), (2**52, 2**52), (2**53, 2**53)]
+    )
 
 
 def test_set_algebra():

@@ -49,6 +49,15 @@ def test_is_spread_examples():
         sl.is_spread([1], [2, 3])
 
 
+def test_is_spread_matches_elementwise_brute_force():
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        f = sorted(rng.sample(range(1, 25), n))
+        g = sorted(rng.sample(range(1, 25), n))
+        assert sl.is_spread(f, g) is all(a <= b for a, b in zip(f, g)), (f, g)
+
+
 @given(
     st.integers(min_value=1, max_value=8).flatmap(
         lambda m: st.tuples(
@@ -257,6 +266,58 @@ def test_tau1_huge_interval_set():
     count, cert = sl.tau1(big)
     assert count == 30
     assert cert.verify()
+
+
+def _first_k(ivs, k):
+    out = []
+    for lo, hi in ivs:
+        if k == 0:
+            break
+        take = min(hi - lo + 1, k)
+        out.append((lo, lo + take - 1))
+        k -= take
+    return out
+
+
+def _drop_first(ivs, k):
+    out = []
+    for lo, hi in ivs:
+        n = hi - lo + 1
+        if k >= n:
+            k -= n
+            continue
+        out.append((lo + k, hi))
+        k = 0
+    return out
+
+
+def _reference_tau1_blocks(s):
+    """The greedy cut on interval lists, walking the remainder block by block."""
+    blocks = []
+    rest = list(s.intervals)
+    while rest:
+        k = min(rest[0][0], sum(hi - lo + 1 for lo, hi in rest))
+        blocks.append(IntSet(_first_k(rest, k)))
+        rest = _drop_first(rest, k)
+    return blocks
+
+
+def _random_interval_set(rng, intervals, top):
+    points = sorted(rng.sample(range(1, top), 2 * intervals))
+    return IntSet(zip(points[::2], points[1::2]))
+
+
+@pytest.mark.parametrize(
+    "intervals, top", [(3, 40), (20, 500), (2000, 10**6), (3000, 2**53), (4000, 10**18)]
+)
+def test_tau1_blocks_match_reference_greedy(intervals, top):
+    rng = random.Random(intervals)
+    for _ in range(5 if intervals > 100 else 200):
+        n = rng.randint(max(1, intervals // 2), intervals)
+        s = _random_interval_set(rng, n, top)
+        count, cert = sl.tau1(s)
+        assert list(cert.chain) == _reference_tau1_blocks(s)
+        assert count == len(cert.chain)
 
 
 def test_tau1_count_sorted_fast_path():
