@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from .errors import (
     CannotSelectError,
     InvalidInputError,
@@ -128,17 +129,8 @@ def l_set(part: MPBPartition, n_idx: IndexSet, through: int) -> IndexSet:
         raise TruncationError(
             f"partition materialized through {part.n_max}, requested {through}"
         )
-    ivs = []
-    j = 1
-    while True:
-        try:
-            n = n_idx.element(j)
-        except TruncationError:
-            break
-        if n > through:
-            break
-        ivs.extend(part.j(n).intervals)
-        j += 1
+    members = takewhile(lambda n: n <= through, n_idx.elements())
+    ivs = [iv for n in members for iv in part.j(n).intervals]
     return IndexSet.from_intset(IntSet(ivs), rule=f"L({n_idx.rule})<={through}")
 
 
@@ -162,14 +154,7 @@ def divergence_witness(part: MPBPartition, m_idx: IndexSet, n_idx: IndexSet, m: 
     l_n = l_set(part, n_idx, part.n_max)
 
     # ordinal offset of J_m inside L_M
-    offset = 0
-    j = 1
-    while True:
-        n = m_idx.element(j)
-        if n >= m:
-            break
-        offset += part.j(n).size
-        j += 1
+    offset = sum(part.j(n).size for n in takewhile(lambda n: n < m, m_idx.elements()))
     f_size = part.f(m).size
     g_size = part.g(m).size
     witness = IntSet.interval(offset + f_size + 1, offset + f_size + g_size)
@@ -274,8 +259,10 @@ def dominated_subsequence(
         and isinstance(p, int)
         and all(isinstance(s, numbers.Rational) for s in sups)
     )
-    if not exact:
-        eps = float(eps)
+    if exact:
+        eps, half = Fraction(eps), Fraction(1, 2)
+    else:
+        eps, p, half = float(eps), float(p), 0.5
         sups = [float(s) for s in sups]
 
     if space == SPACE_BAERNSTEIN:
@@ -285,24 +272,16 @@ def dominated_subsequence(
                     "chain-norm selection needs strictly decreasing sup norms"
                 )
 
-    def sup_pow(j: int):
-        return sups[j - 1] ** p if exact else sups[j - 1] ** float(p)
-
     selected = [1]
     k = 1
     while True:
         cap = blocks[selected[-1] - 1].max_index
         if space == SPACE_BAERNSTEIN:
-            if exact:
-                delta = min(Fraction(1, 2), Fraction(eps) / (2**k * p * 2 ** (p - 1)))
-                bound = delta / cap
-            else:
-                delta = min(0.5, eps / (2**k * float(p) * 2.0 ** (float(p) - 1.0)))
-                bound = delta / cap
+            bound = min(half, eps / (2**k * p * 2 ** (p - 1))) / cap
             admissible = lambda j: sups[j - 1] <= bound
         else:
-            bound = Fraction(eps) / cap if exact else eps / cap
-            admissible = lambda j: sup_pow(j) <= bound
+            bound = eps / cap
+            admissible = lambda j: sups[j - 1] ** p <= bound
         nxt = next(
             (j for j in range(selected[-1] + 1, n + 1) if admissible(j)), None
         )

@@ -10,7 +10,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, TruncationError
 from .intset import IntSet
@@ -32,6 +32,7 @@ class IndexSet:
         self._gen = generator  # callable j -> element, or None
         self._cache: list[int] = list(prefix or [])
         self._limit = limit if limit is not None else (len(self._cache) if generator is None else None)
+        self._intset: IntSet | None = None  # set by from_intset
         for a, b in zip(self._cache, self._cache[1:]):
             if a >= b:
                 raise InvalidInputError("index set must be strictly increasing")
@@ -76,25 +77,28 @@ class IndexSet:
 
     @classmethod
     def union(cls, a: "IndexSet", b: "IndexSet") -> "IndexSet":
-        # element() asks for j = len(cache) + 1 in order, so the merge
-        # pointers carry over from one call to the next
-        ai = bi = 1
+        def merge() -> Iterator[int]:
+            ita, itb = a.elements(), b.elements()
+            av, bv = next(ita, None), next(itb, None)
+            while av is not None or bv is not None:
+                e = bv if av is None or (bv is not None and bv < av) else av
+                yield e
+                if av == e:
+                    av = next(ita, None)
+                if bv == e:
+                    bv = next(itb, None)
+
+        # element() asks for j = len(cache) + 1 in order, so one merge
+        # serves every call; once it is spent every request refuses
+        merged = merge()
 
         def gen_next(j: int) -> int:
-            nonlocal ai, bi
-            av = a._try_element(ai)
-            bv = b._try_element(bi)
-            if av is None and bv is None:
+            e = next(merged, None)
+            if e is None:
                 raise TruncationError(
                     f"union of ({a.rule}) and ({b.rule}) exhausted at length {j - 1}"
                 )
-            if bv is None or (av is not None and av <= bv):
-                ai += 1
-                if av == bv:
-                    bi += 1
-                return av
-            bi += 1
-            return bv
+            return e
 
         return cls(f"({a.rule})|({b.rule})", generator=gen_next)
 
@@ -105,12 +109,6 @@ class IndexSet:
         return obj
 
     # -- access --------------------------------------------------------------
-
-    def _try_element(self, j: int) -> int | None:
-        try:
-            return self.element(j)
-        except TruncationError:
-            return None
 
     def element(self, j: int) -> int:
         if j < 1:
@@ -127,6 +125,18 @@ class IndexSet:
             self._cache.append(nxt)
         return self._cache[j - 1]
 
+    def elements(self) -> Iterator[int]:
+        """element(1), element(2), ..., stopping where element() would raise
+        TruncationError.  Infinite for rule-backed sets, hence not __iter__."""
+        j = 1
+        while True:
+            try:
+                e = self.element(j)
+            except TruncationError:
+                return
+            yield e
+            j += 1
+
     def prefix(self, k: int) -> tuple[int, ...]:
         self.element(k)
         return tuple(self._cache[:k])
@@ -141,23 +151,16 @@ class IndexSet:
         js = as_positive_intset(j_set)
         if js.is_empty:
             return IntSet()
-        if hasattr(self, "_intset"):
+        if self._intset is not None:
             return self._intset.select_ordinals(js)
         return IntSet.from_iterable(self.element(j) for j in js.iter_elements())
 
     def contains(self, value: int) -> bool:
-        """Membership test; walks the prefix until the value is passed."""
-        j = 1
-        while True:
-            try:
-                e = self.element(j)
-            except TruncationError:
-                return False
-            if e == value:
-                return True
-            if e > value:
-                return False
-            j += 1
+        """Membership test; walks the elements until the value is passed."""
+        for e in self.elements():
+            if e >= value:
+                return e == value
+        return False
 
     def to_json_obj(self, k: int | None = None) -> dict:
         if k is None:

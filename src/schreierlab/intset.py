@@ -8,6 +8,7 @@ materializes elements unless explicitly asked to.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
@@ -18,7 +19,7 @@ MATERIALIZE_LIMIT = 200_000
 
 
 class IntSet:
-    __slots__ = ("_ivs", "_size", "_starts")
+    __slots__ = ("_ivs", "_size")
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
         merged: list[list[int]] = []
@@ -34,21 +35,10 @@ class IntSet:
                 merged.append([lo, hi])
         self._ivs: tuple[tuple[int, int], ...] = tuple((a, b) for a, b in merged)
         self._size = sum(b - a + 1 for a, b in self._ivs)
-        self._starts = [a for a, _ in self._ivs]
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "IntSet":
-        elems = sorted(set(elements))
-        for e in elems:
-            if not isinstance(e, int):
-                raise InvalidInputError(f"set element {e!r} is not an integer")
-        ivs = []
-        for e in elems:
-            if ivs and e == ivs[-1][1] + 1:
-                ivs[-1][1] = e
-            else:
-                ivs.append([e, e])
-        return cls((a, b) for a, b in ivs)
+        return cls((e, e) for e in elements)
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntSet":
@@ -80,7 +70,7 @@ class IntSet:
         return self._ivs[-1][1]
 
     def __contains__(self, value: int) -> bool:
-        i = bisect_right(self._starts, value) - 1
+        i = bisect_right(self._ivs, (value, math.inf)) - 1
         return i >= 0 and self._ivs[i][0] <= value <= self._ivs[i][1]
 
     def __bool__(self) -> bool:
@@ -168,10 +158,10 @@ class IntSet:
         for lo, hi in self._ivs:
             yield from range(lo, hi + 1)
 
-    def to_list(self, limit: int | None = MATERIALIZE_LIMIT) -> list[int]:
-        if limit is not None and self._size > limit:
+    def to_list(self) -> list[int]:
+        if self._size > MATERIALIZE_LIMIT:
             raise SizeLimitError(
-                f"refusing to materialize {self._size} elements (limit {limit})"
+                f"refusing to materialize {self._size} elements (limit {MATERIALIZE_LIMIT})"
             )
         return list(self.iter_elements())
 

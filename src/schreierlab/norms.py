@@ -235,7 +235,7 @@ class NormResult:
     witness: IntSet | SchreierChain | None
     zero_vector: bool = False
 
-    def check(self, x: CoeffVector, rtol: float = FLOAT_RTOL) -> bool:
+    def check(self, x: CoeffVector) -> bool:
         if self.witness is None:
             observed = 0
         elif self.space == SPACE_SCHREIER:
@@ -245,7 +245,7 @@ class NormResult:
         if self.mode == "exact":
             return observed == self.value_pow
         a, b = float(observed), float(self.value_pow)
-        return abs(a - b) <= rtol * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= FLOAT_RTOL * max(1.0, abs(a), abs(b))
 
     def witness_json(self):
         if self.witness is None:
@@ -485,15 +485,14 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     lower = beta_p_pow(x, chain, p, mode)
 
     if mode == "exact":
-        k_full = math.floor(Fraction(total) / Fraction(wstar))
-        rem = total - k_full * wstar
+        k_full, rem = divmod(total, wstar)
         upper = k_full * powfn(wstar) + powfn(rem)
         tight = upper == lower
     else:
         k_full = int(math.floor(float(total) / float(wstar) + FLOAT_RTOL))
         rem = max(0.0, float(total) - k_full * float(wstar))
         upper = k_full * powfn(wstar) + powfn(rem)
-        tight = float(upper) - float(lower) <= FLOAT_RTOL * max(1.0, float(upper))
+        tight = float(upper) - float(lower) <= FLOAT_RTOL * float(upper)
     if not tight:
         raise SizeLimitError(
             "support too large for the exact chain DP and the two-sided "

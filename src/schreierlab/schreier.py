@@ -180,7 +180,7 @@ def tau1(a) -> tuple[int, CoveringCertificate]:
     o, n = 1, s.size
     while o <= n:
         k = min(s.element_at(o), n - o + 1)
-        blocks.append(s.select_ordinals(IntSet.interval(o, o + k - 1)))
+        blocks.append(IntSet(s._slice(o, o + k - 1)))
         o += k
     cert = CoveringCertificate(chain=tuple(blocks), covered=s)
     return len(blocks), cert

@@ -132,10 +132,10 @@ class CoeffVector:
             for i in range(lo, hi + 1):
                 yield i, v
 
-    def pairs(self, limit: int | None = PAIRS_LIMIT) -> list[tuple[int, Scalar]]:
-        if limit is not None and self._size > limit:
+    def pairs(self) -> list[tuple[int, Scalar]]:
+        if self._size > PAIRS_LIMIT:
             raise SizeLimitError(
-                f"refusing to expand {self._size} entries (limit {limit})"
+                f"refusing to expand {self._size} entries (limit {PAIRS_LIMIT})"
             )
         return list(self.items())
 

@@ -313,6 +313,36 @@ def test_dominated_subsequence_bp_long_selection_inequalities():
         k += 1
 
 
+@pytest.mark.parametrize("to_float", [False, True])
+@pytest.mark.parametrize(
+    "space, starts, expected",
+    [
+        ("sp", [2, 4, 9, 40, 81, 400, 2000], [
+            (0.05, (1, 5), True),
+            (0.5, (1, 3, 4, 6, 7), False),
+            (2.0, (1, 2, 3, 4, 5, 6, 7), False),
+            (40.0, (1, 2, 3, 4, 5, 6, 7), False),
+        ]),
+        ("bp", [3, 10, 20, 90, 500, 3000, 100000], [
+            (0.05, (1, 6), True),
+            (0.5, (1, 5, 7), False),
+            (2.0, (1, 4, 6), True),
+            (7.3, (1, 2, 4, 6, 7), False),
+            (40.0, (1, 2, 4, 5, 6, 7), False),
+        ]),
+    ],
+)
+def test_dominated_subsequence_float_mode_selections(space, starts, expected, to_float):
+    # float eps and p = 2.5 put both branches in float mode; the selections
+    # are pinned so the float bounds keep their values bit for bit
+    blocks = flat_blocks(space, 2.5, starts)
+    if to_float:
+        blocks = sl.BlockSequence([u.scaled(1.0) for u in blocks])
+    for eps, indices, shortfall in expected:
+        res = sl.dominated_subsequence(blocks, 2.5, space, eps)
+        assert (res.indices, res.shortfall) == (indices, shortfall)
+
+
 def test_dominated_subsequence_bp_needs_decreasing_sups():
     blocks = sl.BlockSequence([CoeffVector.basis(n) for n in range(1, 5)])
     with pytest.raises(sl.CannotSelectError):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -112,6 +113,91 @@ def test_contains():
     assert evens.contains(8) and not evens.contains(7)
     m = IndexSet.explicit([2, 9])
     assert m.contains(9) and not m.contains(10)
+
+
+def rand_rule_tree(rng, depth=3):
+    """A random IndexSet built from explicit, arith, double, doubleodd and
+    (nested) union rules, with a brute force for it: the sorted list of its
+    elements <= bound, and whether the set is finite."""
+    kinds = ["explicit", "arith", "double", "doubleodd", "union"] if depth else ["explicit", "arith"]
+    kind = rng.choice(kinds)
+    if kind == "explicit":
+        n = rng.randint(0, 8)
+        xs = rand_prefix(rng, length=n) if n else []
+        return IndexSet.explicit(xs), lambda b: [x for x in xs if x <= b], True
+    if kind == "arith":
+        a, d = rng.randint(1, 4), rng.randint(1, 4)
+        return IndexSet.arithmetic(a, d), lambda b: list(range(a, b + 1, d)), False
+    base, ref, finite = rand_rule_tree(rng, depth - 1)
+    if kind == "double":
+        return IndexSet.doubled(base), lambda b: [2 * x for x in ref(b // 2)], finite
+    if kind == "doubleodd":
+        return IndexSet.doubled_minus_one(base), lambda b: [2 * x - 1 for x in ref((b + 1) // 2)], finite
+    other, ref2, finite2 = rand_rule_tree(rng, depth - 1)
+    union = IndexSet.union(base, other)
+    return union, lambda b: sorted(set(ref(b)) | set(ref2(b))), finite and finite2
+
+
+def test_elements_walks_random_rule_trees():
+    rng = random.Random(101)
+    bound = 60
+    for _ in range(300):
+        idx, ref, finite = rand_rule_tree(rng)
+        want = ref(bound)
+        assert list(islice(idx.elements(), len(want))) == want
+        if want:
+            assert idx.prefix(len(want)) == tuple(want)
+        if finite:
+            full = ref(10**9)
+            assert list(idx.elements()) == full  # stops at the end, no raise
+            assert list(idx.elements()) == full  # and again from the start
+            with pytest.raises(sl.TruncationError):
+                idx.element(len(full) + 1)
+        for v in range(bound + 1):
+            assert idx.contains(v) == (v in want)
+
+
+def test_elements_goes_through_element():
+    calls = []
+    idx = _count_element_calls(IndexSet.explicit([2, 5, 9]), calls)
+    assert list(idx.elements()) == [2, 5, 9]
+    assert calls == [1, 2, 3, 4]  # the fourth call raises and ends the walk
+
+
+def test_elements_is_not_the_iteration_protocol():
+    # a rule-backed set is infinite, so list(idx) and `x in idx` must fail
+    # at once instead of walking forever
+    with pytest.raises(TypeError):
+        list(IndexSet.naturals())
+    with pytest.raises(TypeError):
+        3 in IndexSet.naturals()
+
+
+def test_l_set_and_witness_offset_match_brute_force():
+    rng = random.Random(103)
+    part = sl.mpb_partition(6)
+    top = part.n_max
+    for _ in range(150):
+        m_idx, m_ref, _ = rand_rule_tree(rng)
+        n_idx, n_ref, _ = rand_rule_tree(rng)
+        for through in range(top + 1):
+            want = IntSet(iv for n in n_ref(through) for iv in part.j(n).intervals)
+            got = sl.l_set(part, n_idx, through)
+            assert got.materialized_limit == want.size
+            if want:
+                assert got.select(IntSet.interval(1, want.size)) == want
+        l_n_size = sum(part.j(n).size for n in n_ref(top))
+        for m in range(2, top + 1):
+            if m not in m_ref(m) or m in n_ref(m):
+                continue
+            offset = sum(part.j(n).size for n in m_ref(m - 1))
+            first = offset + part.f(m).size + 1
+            want = IntSet.interval(first, first + part.g(m).size - 1)
+            if want.max > l_n_size:
+                with pytest.raises(sl.TruncationError):
+                    sl.divergence_witness(part, m_idx, n_idx, m)
+            else:
+                assert sl.divergence_witness(part, m_idx, n_idx, m) == want
 
 
 def test_parse_index_rule():
