@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     OracleLimitError,
     SchreierLabError,
+    SizeLimitError,
     TruncationError,
     VerificationError,
 )
@@ -298,11 +299,11 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"error (truncation): {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except (SizeLimitError, OverflowError) as exc:
+        print(f"error (size limit): {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except OracleLimitError as exc:
         print(f"error (oracle limit): {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except OverflowError as exc:
-        print(f"error (size limit): {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except VerificationError as exc:
         print(f"error (verification): {exc}", file=sys.stderr)

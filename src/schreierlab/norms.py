@@ -10,24 +10,22 @@ powers of both norms are rational, so all comparisons run exactly on the
 powers ("exact" mode); the engines then run on |x|*L as ints, L the lcm of
 the denominators (see _on_ints), while the seminorms, the oracles and
 NormResult.check compute in x's own scalars and so check the engines
-independently.  Otherwise everything is evaluated in floats with a
-documented comparison tolerance of 1e-9 ("float" mode).
+independently.  Otherwise the powers are floats ("float" mode), compared
+within 1e-9 relative (floats_close); the Schreier scan still sums exactly.
 
-Two evaluation strategies per norm:
-
-* generic, for supports up to a size cutoff: a candidate-minimum scan for
-  schreier_norm, and for baernstein_norm a dynamic program over the sorted
-  support where a block with fixed first/last element is filled greedily
-  with the largest intermediate |x| values (adding a non-negative term to
-  a block sum never decreases beta_p and cannot affect the remainder);
-
-* large-scale, for coordinatewise non-increasing vectors of any size
-  (run-length representation): see _monotone_sp / _monotone_bp below.
+schreier_norm has one engine at every support size, an exact scan over the
+runs of x (_run_scan).  baernstein_norm runs a dynamic program over the
+sorted support up to DEFAULT_DP_LIMIT points, where a block with fixed
+first/last element is filled greedily with the largest intermediate |x|
+values (adding a non-negative term to a block sum never decreases beta_p
+and cannot affect the remainder); beyond it, for non-increasing |x| of any
+size, a two-sided bound that must be tight (_monotone_bp).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +50,7 @@ from .vectors import CoeffVector, Scalar
 Pow = Union[int, Fraction, float]
 
 FLOAT_RTOL = 1e-9
-DEFAULT_SCAN_LIMIT = 600
+DEFAULT_SCAN_LIMIT = 600  # no engine limit now; the benchmark sizes Schreier queries by it
 DEFAULT_DP_LIMIT = 160
 
 SPACE_SCHREIER = "sp"
@@ -217,6 +215,11 @@ def lp_norm(x: CoeffVector, p, mode: str = "auto") -> float:
 # -- results -----------------------------------------------------------------
 
 
+def floats_close(a: float, b: float) -> bool:
+    """Within FLOAT_RTOL relative; absolute only below the smallest normal float."""
+    return math.isclose(a, b, rel_tol=FLOAT_RTOL, abs_tol=sys.float_info.min)
+
+
 @dataclass(frozen=True)
 class NormResult:
     """Norm value plus an attaining witness.
@@ -244,8 +247,7 @@ class NormResult:
             observed = beta_p_pow(x, self.witness, self.p, self.mode)
         if self.mode == "exact":
             return observed == self.value_pow
-        a, b = float(observed), float(self.value_pow)
-        return abs(a - b) <= FLOAT_RTOL * max(1.0, abs(a), abs(b))
+        return floats_close(float(observed), float(self.value_pow))
 
     def witness_json(self):
         if self.witness is None:
@@ -272,121 +274,125 @@ class NormResult:
 # -- schreier norm -----------------------------------------------------------
 
 
-def _sp_scan(x: CoeffVector, p, mode: str) -> tuple[Pow, IntSet]:
+def _int_weights(x: CoeffVector, p, mode: str) -> tuple[list[int], int]:
+    """|v|^p for each run of x as ints over one divisor: 1 in exact mode (int
+    entries, see _on_ints); in float mode each float(|v|) ** p is rounded
+    once and, being dyadic, scaled exactly over the largest denominator."""
     powfn = _powfn(p, mode)
-    pos, pw = zip(*[(q, powfn(abs(v))) for q, v in x.pairs()])
-    # Candidate i pairs its minimum with the first m-1 ranks beyond i, added in
-    # rank order (largest power first, ties to the smaller position).
-    ranked = sorted(range(len(pw)), key=lambda j: (-pw[j], j))
-    best_pow, best_wit = -1, ()  # -1 is below every power
-    for i, m in enumerate(pos):
-        chosen = [j for j in ranked if j > i][: m - 1]
-        total = pw[i]
-        for j in chosen:
-            total = total + pw[j]
-        if total >= best_pow:
-            wit = (m,) + tuple(pos[j] for j in sorted(chosen))
-            if total > best_pow or wit < best_wit:
-                best_pow, best_wit = total, wit
-    return best_pow, IntSet.from_iterable(best_wit)
+    powers = [powfn(abs(v)) for _, _, v in x.runs]
+    if mode == "exact":
+        return powers, 1
+    ratios = [w.as_integer_ratio() for w in powers]
+    divisor = max(d for _, d in ratios)
+    return [n * (divisor // d) for n, d in ratios], divisor
 
 
-# Ordinal-space run records: (o_lo, o_hi, pos_lo, weight); positions inside a
-# run are consecutive, so pos(o) = pos_lo + (o - o_lo).
+def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:
+    """Largest weight sum over the Schreier sets in the support, and the first
+    set attaining it; O(R log L log R) for R runs of length at most L.
 
+    The best set with minimum q adds the q - 1 heaviest points beyond q,
+    ranked by (weight descending, position ascending).  The runs are walked
+    right to left over a Fenwick tree (Fenwick 1994) of the later runs'
+    point counts and weight sums, indexed by distinct weight, heaviest
+    first.  For q in a run [lo, hi] of weight w let k = q - 1, A the number
+    of later points heavier than w and g_i the i-th largest later weight (0
+    past the last).  The A heavier points rank first, then the hi - q copies
+    of w beyond q (they precede later points of equal weight), so
 
-def _ordinal_runs(x: CoeffVector, weightfn) -> list[tuple[int, int, int, Pow]]:
-    recs = []
-    o = 1
-    for lo, hi, v in x.runs:
-        n = hi - lo + 1
-        w = weightfn(abs(v))
-        recs.append((o, o + n - 1, lo, w))
-        o += n
-    return recs
+        f(q) = (j + 1) w + g_1 + ... + g_{k-j},  j = min(hi - q, max(0, k - A)).
 
-
-def _ordinal_range_sum(recs, o1: int, o2: int) -> Pow:
-    """Sum of weights over ordinals o1..o2 (inclusive)."""
-    total: Pow = 0
-    for a, b, _, w in recs:
-        if b < o1:
-            continue
-        if a > o2:
-            break
-        lo = max(a, o1)
-        hi = min(b, o2)
-        total = total + (hi - lo + 1) * w
-    return total
-
-
-def _window_best(x: CoeffVector, weightfn) -> tuple[Pow, int, int]:
-    """Maximize over start ordinals o the weight-sum of the admissible window
-    {o-th support point} + the next pos(o)-1 support points.
-
-    For non-increasing |x| the window realizes the best admissible set with a
-    given minimum.  The window sum is piecewise affine in o (breakpoints only
-    where o or the window's right edge crosses a run boundary), so scanning a
-    breakpoint superset is exact.
+    Claim: D(q) = f(q + 1) - f(q) never increases along the run, so the
+    run's first maximizer is the first q with D(q) <= 0 (or hi), found by
+    binary search.  Each step adds a pick and leaves one copy fewer beyond q:
+    (a) while k + 1 <= A, j stays 0 and D = g_{k+1} > w, non-increasing;
+    (b) while a copy of w stays unpicked, j grows by one and D = w;
+    (c) the step into the last phase keeps j, with D = g_{A+1}, or drops
+        it; from then on every copy is picked, j = hi - q, and
+        D = g_{k-j+1} + g_{k-j+2} - w <= g_{k-j+1}, two ranks further down
+        the sorted g at each step.  Here k - j >= A, so every g is <= w.
+    So D is above w, then w, then at most w and non-increasing.  Zero
+    weights (a float power that underflows, as (1e-300)^2 does) are
+    ordinary: with w = 0, phases (b) and (c) give D = 0.  Across runs the
+    earlier run wins ties.  The witness is q..q+j plus k - j later points,
+    taken greedily as intervals from the later runs in (weight descending,
+    start ascending) order, which is the rank order.
     """
-    recs = _ordinal_runs(x, weightfn)
-    n = recs[-1][1]
-    support = x.support()
-    boundaries = set()
-    for a, b, _, _ in recs:
-        boundaries.update((a - 1, a, b, b + 1))
-    boundaries.add(n)
+    order = sorted(set(weights), reverse=True)  # Fenwick index i is order[i - 1]
+    index = {w: i for i, w in enumerate(order, 1)}
+    size = len(order)
+    cnt, tot = [0] * (size + 1), [0] * (size + 1)
+    later = later_sum = 0
 
-    candidates: set[int] = set()
-    for a, b, pos_lo, _ in recs:
-        candidates.add(a)
-        candidates.add(b)
-        c = pos_lo - a  # pos(o) = o + c, window edge = 2o + c - 1
-        for bd in boundaries:
-            o0 = (bd + 1 - c) // 2
-            for o in (o0 - 1, o0, o0 + 1, o0 + 2):
-                if a <= o <= b:
-                    candidates.add(o)
+    def top(t: int) -> int:  # the sum of the t largest later weights
+        if t >= later:
+            return later_sum
+        i = c = s = 0
+        bit = 1 << (size.bit_length() - 1)
+        while bit:
+            if i + bit <= size and c + cnt[i + bit] <= t:
+                i += bit
+                c, s = c + cnt[i], s + tot[i]
+            bit >>= 1
+        return s + (t - c) * order[i]
 
-    best: Pow | None = None
-    best_o = best_e = 0
-    for o in sorted(candidates):
-        e = min(o + support.element_at(o) - 1, n)
-        s = _ordinal_range_sum(recs, o, e)
-        if best is None or s > best:
-            best, best_o, best_e = s, o, e
-    return best, best_o, best_e
+    def f(q: int, hi: int, w: int, heavier: int) -> tuple[int, int]:  # f(q) and j
+        j = min(hi - q, max(0, q - 1 - heavier))
+        return (j + 1) * w + top(q - 1 - j), j
+
+    best, best_at = -1, None  # -1 is below every sum
+    for r in range(len(runs) - 1, -1, -1):
+        (lo, hi, _), w = runs[r], weights[r]
+        i = index[w]
+        if lo == hi:  # j = 0 whatever A is
+            a, value, j = lo, w + (later_sum if lo > later else top(lo - 1)), 0
+        else:
+            heavier, k = 0, i - 1
+            while k:
+                heavier += cnt[k]
+                k &= k - 1
+            stops_rising = lambda q: f(q + 1, hi, w, heavier)[0] <= f(q, hi, w, heavier)[0]
+            a = lo + bisect_left(range(lo, hi), True, key=stops_rising)
+            value, j = f(a, hi, w, heavier)
+        if value >= best:
+            best, best_at = value, (r, a, j)
+        n = hi - lo + 1
+        nw = n * w
+        later, later_sum = later + n, later_sum + nw
+        while i <= size:
+            cnt[i] += n
+            tot[i] += nw
+            i += i & -i
+
+    r, q, j = best_at
+    picks, ivs = q - 1 - j, [(q, q + j)]
+    later_runs = zip(runs[r + 1 :], weights[r + 1 :])
+    for _, lo, hi in sorted((-w, lo, hi) for (lo, hi, _), w in later_runs):
+        if picks <= 0:
+            break
+        ivs.append((lo, lo + min(picks, hi - lo + 1) - 1))
+        picks -= hi - lo + 1
+    return best, IntSet(ivs)
 
 
-def _monotone_sp(x: CoeffVector, p, mode: str) -> tuple[Pow, IntSet]:
-    best, o, e = _window_best(x, _powfn(p, mode))
-    witness = x.support().select_ordinals(IntSet.interval(o, e))
-    return best, witness
+def _sp_pow(x: CoeffVector, p, mode: str) -> tuple[Pow, IntSet]:
+    weights, divisor = _int_weights(x, p, mode)
+    best, witness = _run_scan(x.runs, weights)
+    return (best if mode == "exact" else best / divisor), witness  # rounded once
 
 
-def schreier_norm(
-    x: CoeffVector, p, mode: str = "auto", *, scan_limit: int | None = None
-) -> NormResult:
+def schreier_norm(x: CoeffVector, p, mode: str = "auto") -> NormResult:
     """Supremum of mu_p over Schreier sets, with an attaining witness.
 
-    Scans every candidate minimum m in supp(x), pairing it with the largest
-    min(m, remaining)-1 values of |x| beyond m.  Ties between optimal
-    witnesses break to the lexicographically smallest element list.
+    One exact scan over the runs of x (_run_scan), at any support size.
+    Among optimal sets the one with the smallest minimum wins; its other
+    points are the heaviest beyond it, equal weights to smaller positions.
     """
     validate_exponent(p, SPACE_SCHREIER)
     m = resolve_mode(x, p, mode)
     if x.is_zero:
         return NormResult(SPACE_SCHREIER, p, m, 0.0, 0, EMPTY, zero_vector=True)
-    limit = DEFAULT_SCAN_LIMIT if scan_limit is None else scan_limit
-    if x.support_size <= limit:
-        pow_value, witness = _on_ints(_sp_scan, x, p, m)
-    elif x.is_nonincreasing_abs():
-        pow_value, witness = _on_ints(_monotone_sp, x, p, m)
-    else:
-        raise SizeLimitError(
-            f"support size {x.support_size} exceeds the scan limit {limit} "
-            "and the entries are not non-increasing"
-        )
+    pow_value, witness = _on_ints(_sp_pow, x, p, m)
     return NormResult(SPACE_SCHREIER, p, m, _root(pow_value, p), pow_value, witness)
 
 
@@ -466,10 +472,9 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
 def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     """Certified evaluation for non-increasing |x| at any scale.
 
-    Upper bound: every admissible block has sum at most the best window sum
-    W* (the block's min(F) elements sit at or beyond min(F), and |x| is
-    non-increasing), and chain blocks are disjoint, so the block sums b_i
-    satisfy b_i <= W*, sum(b_i) <= T (total mass); pushing to extremes gives
+    Upper bound: every admissible block sum b_i is at most W* = ||x||_{S_1}
+    (_run_scan at p = 1), and chain blocks are disjoint, so sum(b_i) <= T
+    (total mass); pushing to extremes gives
     ||x||^p <= floor(T/W*) * W*^p + (T - floor(T/W*) W*)^p.
 
     Lower bound: tau1's greedy covering chain of the support.  The value is
@@ -478,20 +483,17 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     as the witness.
     """
     powfn = _powfn(p, mode)
-    wstar, _, _ = _window_best(x, lambda a: a)
-    total = x.total_abs()
+    weights, divisor = _int_weights(x, 1, mode)
+    wstar, _ = _run_scan(x.runs, weights)
+    total = sum((hi - lo + 1) * w for (lo, hi, _), w in zip(x.runs, weights))
+    k_full, rem = divmod(total, wstar)
+    upper = k_full * powfn(Fraction(wstar, divisor)) + powfn(Fraction(rem, divisor))
 
     chain = SchreierChain(tau1(x.support())[1].chain)
     lower = beta_p_pow(x, chain, p, mode)
-
     if mode == "exact":
-        k_full, rem = divmod(total, wstar)
-        upper = k_full * powfn(wstar) + powfn(rem)
         tight = upper == lower
     else:
-        k_full = int(math.floor(float(total) / float(wstar) + FLOAT_RTOL))
-        rem = max(0.0, float(total) - k_full * float(wstar))
-        upper = k_full * powfn(wstar) + powfn(rem)
         tight = float(upper) - float(lower) <= FLOAT_RTOL * float(upper)
     if not tight:
         raise SizeLimitError(

@@ -199,7 +199,7 @@ def _norm_oracle_random(space, p, seed, max_support, window, i):
     xf = CoeffVector.from_entries((q, float(v)) for q, v in x.items())
     rf = norms.norm(xf, p, space, mode="float")
     of = norms.oracle_norm(xf, p, space, mode="float")
-    ok = abs(rf.value - of) <= 1e-9 * max(1.0, of) and rf.check(xf)
+    ok = norms.floats_close(rf.value, of) and rf.check(xf)
     yield None if ok else f"float i={i} supp={x.support().to_list()}"
 
 

@@ -187,12 +187,6 @@ class CoeffVector:
             prev = a
         return True
 
-    def total_abs(self) -> Scalar:
-        total = 0
-        for lo, hi, v in self._runs:
-            total += (hi - lo + 1) * abs(v)
-        return total
-
 
 def _values_at(runs, points) -> Iterator[Scalar]:
     """Entry at each of the ascending points, in one pass over the sorted runs."""

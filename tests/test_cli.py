@@ -214,6 +214,18 @@ def test_norm_float_overflow_is_a_size_limit(capsys, vec, p):
     assert err.startswith("error (size limit):") and err.count("\n") == 1
 
 
+def test_norm_past_the_chain_dp_limit_is_a_size_limit(capsys):
+    # 200 points, not monotone: the chain DP refuses it, the Schreier scan
+    # answers it
+    vec = json.dumps([1 + i % 3 for i in range(200)])
+    code, out, err = run_cli(capsys, "norm", "--space", "bp", "--p", "2", "--vec", vec)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error (size limit):") and "chain DP limit" in err
+    code, out, _ = run_cli(capsys, "norm", "--space", "sp", "--p", "2", "--vec", vec)
+    assert code == 0 and json.loads(out)["value_pow"] == "521/1"
+
+
 @pytest.mark.parametrize(
     "value", ["1.5", "NaN", '"x"', "x", "true", "-3", "[1, NaN]", "[true]", "{}"]
 )

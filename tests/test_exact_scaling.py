@@ -1,38 +1,42 @@
 """The norm engines on tie-heavy int, Fraction, float and mixed vectors.
 
 The exact engines run on x*L as ints (L the lcm of the denominators) and the
-Schreier scan walks one rank order instead of sorting per candidate.  These
-tests hold them to a copy of the per-candidate-sort scan, to scaling
-invariance on every engine path, and to float values pinned before either
-change.
+Schreier engine scans runs over a Fenwick tree with exact sums in both
+modes.  These tests hold them to a copy of the per-candidate-sort scan, to
+the exhaustive oracle, to scaling invariance on every engine path, and to
+float values pinned bit for bit.
 """
 
+import random
 from fractions import Fraction
 from functools import partial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import schreierlab as sl
 from schreierlab import CoeffVector
-from schreierlab.norms import DEFAULT_DP_LIMIT, DEFAULT_SCAN_LIMIT, _powfn
+from schreierlab.norms import DEFAULT_DP_LIMIT, _int_weights, _powfn, _run_scan
 
 DENOMS = (1, 2, 3, 5, 7, 11, 13)
 KINDS = ("int", "frac", "float", "mixed")
 
 
 def reference_sp_scan(x, p, mode):
-    """The Schreier scan that sorts the entries beyond each candidate."""
+    """The Schreier scan that sorts the entries beyond each candidate.
+
+    Sums are exact in both modes: a float power is summed as the rational it
+    is, and the best sum is rounded once at the end.
+    """
     powfn = _powfn(p, mode)
-    pairs = [(q, powfn(abs(v))) for q, v in x.pairs()]
+    pairs = [(q, Fraction(powfn(abs(v)))) for q, v in x.pairs()]
     best_pow = best_wit = None
     for i, (m, total) in enumerate(pairs):
         chosen = sorted(pairs[i + 1 :], key=lambda t: (-t[1], t[0]))[: m - 1]
-        for _, w in chosen:
-            total = total + w
+        total += sum(w for _, w in chosen)
         wit = tuple(sorted([m] + [q for q, _ in chosen]))
         if best_pow is None or total > best_pow or (total == best_pow and wit < best_wit):
             best_pow, best_wit = total, wit
-    return best_pow, list(best_wit)
+    return (best_pow if mode == "exact" else float(best_pow)), list(best_wit)
 
 
 def scalars(kind):
@@ -77,6 +81,18 @@ def monotone_vectors(draw):
     return CoeffVector(runs)
 
 
+@st.composite
+def run_vectors(draw, kind="frac", max_len=60):
+    """Up to eight runs in any order of magnitude, of lengths up to max_len,
+    with repeated magnitudes, so runs and ties both matter."""
+    runs, lo = [], draw(st.integers(1, 40))
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, max_len))
+        runs.append((lo, lo + length - 1, draw(scalars(kind))))
+        lo += length + draw(st.sampled_from((0, 0, 1, 5)))
+    return CoeffVector(runs)
+
+
 positive_rationals = st.builds(Fraction, st.integers(1, 12), st.sampled_from(DENOMS + (4, 9)))
 
 
@@ -91,6 +107,84 @@ def test_scan_matches_the_per_candidate_sort(data, kind, p):
     if r.mode == "exact":
         all_int = all(type(v) is int for _, _, v in x.runs)
         assert type(r.value_pow) is (int if all_int else Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("int", "frac", "mixed")), p=st.sampled_from((1, 2, 3)))
+def test_run_scan_matches_the_per_candidate_sort_on_long_runs(data, kind, p):
+    x = data.draw(run_vectors(kind, max_len=40))
+    r = sl.schreier_norm(x, p)
+    assert r.mode == "exact"
+    assert (r.value_pow, r.witness.to_list()) == reference_sp_scan(x, p, "exact")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS), p=st.sampled_from((1, 2, 3, 1.5, 2.5)))
+def test_run_scan_matches_the_oracle(data, kind, p):
+    x = data.draw(st.one_of(vectors(kind, max_support=14), run_vectors(kind, max_len=4)))
+    assume(x.support_size <= 14)
+    r = sl.schreier_norm(x, p)
+    want = sl.oracle_norm_pow(x, p, "sp")  # sums floats in its own order
+    assert r.value_pow == want if r.mode == "exact" else sl.norms.floats_close(r.value_pow, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS), p=st.sampled_from((1, 1.5, 2, 2.5)))
+def test_float_scan_rounds_the_exact_sum_once(data, kind, p):
+    x = data.draw(st.one_of(vectors(kind, max_support=10), run_vectors(kind, max_len=3)))
+    assume(x.support_size <= 10)
+    r = sl.schreier_norm(x, p, mode="float")
+    power = {q: Fraction(float(abs(v)) ** float(p)) for q, v in x.pairs()}
+    best = sum(power[q] for q in r.witness.iter_elements())
+    assert r.value_pow == float(best)
+    assert all(sum(power[q] for q in f.iter_elements()) <= best
+               for f in sl.enumerate_schreier_subsets(x.support()))
+
+
+def _first_maximizer(points):
+    """Brute force over the expanded points (position, weight): the first
+    position whose set adds the pos - 1 heaviest later points is the best."""
+    best = at = None
+    for i, (q, w) in enumerate(points):
+        value = w + sum(sorted((v for _, v in points[i + 1 :]), reverse=True)[: q - 1])
+        if best is None or value > best:
+            best, at = value, q
+    return best, at
+
+
+def test_run_scan_finds_each_first_maximizer():
+    """Every suffix of the runs, so that many runs win once; the increments
+    of f along each run never rise again once they stop being positive."""
+    rng = random.Random(97)
+    for _ in range(400):
+        runs, lo = [], rng.randint(1, 12)
+        for _ in range(rng.randint(1, 6)):
+            length = rng.randint(1, 25)
+            runs.append((lo, lo + length - 1, rng.randint(0, 6)))  # 0: an underflowed power
+            lo += length + rng.choice((0, 0, 1, 4))
+        for r in range(len(runs)):
+            tail = runs[r:]
+            points = [(q, w) for lo, hi, w in tail for q in range(lo, hi + 1)]
+            best, witness = _run_scan(tail, [w for _, _, w in tail])
+            assert (best, witness.min) == _first_maximizer(points)
+            lo, hi, w = tail[0]
+            f = [w + sum(sorted((v for q2, v in points if q2 > q), reverse=True)[: q - 1])
+                 for q in range(lo, hi + 1)]
+            steps = [b - a for a, b in zip(f, f[1:])]
+            first = next((i for i, d in enumerate(steps) if d <= 0), len(steps))
+            assert all(d <= 0 for d in steps[first:])
+
+
+def test_run_scan_answers_large_non_monotone_vectors():
+    up = CoeffVector.from_runs([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
+    assert sl.schreier_norm(up, 1).value_pow == 3001
+    assert sl.schreier_norm(up, 2).value_pow == 3003
+    n = 2**40
+    x = CoeffVector.from_runs([(1, n // 2, 3), (n // 2 + 1, n // 2 + 7, -10), (n // 2 + 8, n, 2)])
+    for p in (1, 2, 1.5):
+        r = sl.schreier_norm(x, p)
+        assert r.check(x)
+    assert _int_weights(x, 2, "exact") == ([9, 100, 4], 1)
 
 
 def _assert_scales(norm_of, x, c, p):
@@ -110,9 +204,10 @@ def test_generic_engines_commute_with_scaling(data, kind, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=monotone_vectors(), c=positive_rationals, p=st.sampled_from((1, 2, 3)))
-def test_window_commutes_with_scaling(x, c, p):
-    _assert_scales(partial(sl.schreier_norm, scan_limit=0), x, c, p)
+@given(x=st.one_of(monotone_vectors(), run_vectors()), c=positive_rationals,
+       p=st.sampled_from((1, 2, 3)))
+def test_run_scan_commutes_with_scaling(x, c, p):
+    _assert_scales(sl.schreier_norm, x, c, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +237,7 @@ def test_float_mode_on_rational_vectors_on_every_path():
         [(1, 300, Fraction(5, 3)), (301, 900, Fraction(-4, 7)), (901, 5000, Fraction(1, 11))]
     )
     flat = sl.flat_vector(sl.maximal_chain_from(3, 8), 1.5, "bp")
-    assert monotone.support_size > DEFAULT_SCAN_LIMIT
+    assert monotone.support_size > 600  # once past the scan's size cutoff
     assert flat.support_size > DEFAULT_DP_LIMIT
     cases = [
         (CoeffVector.from_entries((q, spread(q)) for q in range(2, 400, 3)), "sp",

@@ -5,6 +5,7 @@ re-checks at its witness, and for small supports matches the exhaustive
 oracle; a refusal is SizeLimitError or OverflowError, never anything else.
 """
 
+import dataclasses
 import math
 import sys
 from functools import partial
@@ -45,11 +46,14 @@ def random_vectors(draw, max_support=30):
 
 
 @st.composite
-def nonincreasing_vectors(draw):
-    """Non-increasing |x| in up to six runs, short enough to reach the oracle
-    sometimes and long enough to need the window or sandwich otherwise."""
+def nonincreasing_vectors(draw, shuffled=False):
+    """Non-increasing |x| in up to six runs (in any order if shuffled), short
+    enough to reach the oracle sometimes and long enough to need the
+    sandwich otherwise."""
     count = draw(st.integers(1, 6))
     mags = sorted(draw(magnitudes(count)), reverse=True)
+    if shuffled:
+        mags = draw(st.permutations(mags))
     runs, lo = [], draw(st.integers(1, 20))
     for m in mags:
         length = draw(st.sampled_from((1, 1, 2, 3, 40)))
@@ -86,9 +90,10 @@ def test_chain_dp_answers_or_refuses_at_every_magnitude(x, p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=nonincreasing_vectors(), p=st.sampled_from(SP_EXPONENTS))
-def test_window_answers_or_refuses_at_every_magnitude(x, p):
-    _answers_or_refuses(partial(sl.schreier_norm, scan_limit=0), x, p, "sp")
+@given(x=st.one_of(nonincreasing_vectors(), nonincreasing_vectors(shuffled=True)),
+       p=st.sampled_from(SP_EXPONENTS))
+def test_run_scan_answers_or_refuses_at_every_magnitude(x, p):
+    _answers_or_refuses(sl.schreier_norm, x, p, "sp")
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,3 +111,13 @@ def test_sandwich_tightness_is_relative_below_one():
         assert sl.baernstein_norm(y, 1.5).value_pow > 0
         with pytest.raises(sl.SizeLimitError, match="not tight"):
             sl.baernstein_norm(y, 1.5, dp_limit=0)
+
+
+def test_check_is_relative_below_one():
+    x = CoeffVector.from_entries({1: 3e-10, 2: 1e-10})
+    r = sl.schreier_norm(x, 2)
+    assert r.check(x)
+    forged = dataclasses.replace(r, value_pow=r.value_pow * 2.25)
+    assert not forged.check(x)
+    tiny = CoeffVector.from_entries({1: 1e-160})  # the power is subnormal
+    assert sl.schreier_norm(tiny, 2).check(tiny)

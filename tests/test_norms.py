@@ -12,9 +12,7 @@ from schreierlab.norms import (
     _bp_dp,
     _bp_oracle_pow,
     _monotone_bp,
-    _monotone_sp,
     _powfn,
-    _sp_scan,
 )
 
 
@@ -317,7 +315,9 @@ def test_rearrangement_inequality():
 # -- large-scale paths ---------------------------------------------------------
 
 
-def test_monotone_sp_agrees_with_scan():
+def test_monotone_vectors_attain_the_best_window():
+    # for non-increasing |x| the best set with minimum at the o-th support
+    # point is the window of the next pos(o) - 1 support points
     rng = random.Random(71)
     for _ in range(80):
         n = rng.randint(1, 60)
@@ -332,10 +332,11 @@ def test_monotone_sp_agrees_with_scan():
             q += 1 + rng.randint(0, 2)
         x = CoeffVector.from_entries(zip(pos, vals))
         for p in (1, 2, 3):
-            a, _ = _sp_scan(x, p, "exact")
-            b, wit = _monotone_sp(x, p, "exact")
-            assert a == b
-            assert sl.mu_p_pow(x, wit, p) == b
+            windows = [sum(v**p for v in vals[o : o + pos[o]]) for o in range(n)]
+            r = sl.schreier_norm(x, p)
+            assert r.value_pow == max(windows)
+            o = windows.index(max(windows))
+            assert r.witness.to_list() == pos[o : o + pos[o]]
 
 
 def test_monotone_bp_sandwich_agrees_when_tight():
@@ -362,13 +363,13 @@ def test_monotone_bp_sandwich_agrees_when_tight():
 
 
 def test_size_limit_paths():
-    # large non-monotone vectors are refused rather than guessed at
+    # the Schreier scan answers at any size; past the chain DP's limit a
+    # non-monotone vector is refused rather than guessed at
     up = CoeffVector.from_runs([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
-    with pytest.raises(sl.SizeLimitError):
-        sl.schreier_norm(up, 2, scan_limit=100)
+    assert sl.schreier_norm(up, 2).value_pow == 3003
     with pytest.raises(sl.SizeLimitError):
         sl.baernstein_norm(up, 2, dp_limit=100)
-    # monotone large vectors go through the window/sandwich paths
+    # monotone large vectors: the chain norm goes through the sandwich
     down = sl.flat_vector(sl.maximal_chain_from(2, 14), 2, "bp")
     assert down.support_size > 16000
     assert sl.schreier_norm(down, 1).value_pow == 1
