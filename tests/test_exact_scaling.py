@@ -241,7 +241,7 @@ def test_float_mode_on_rational_vectors_on_every_path():
     assert flat.support_size > DEFAULT_DP_LIMIT
     cases = [
         (CoeffVector.from_entries((q, spread(q)) for q in range(2, 400, 3)), "sp",
-         28.381976305581496, 151.204233071557),
+         28.3819763055815, 151.20423307155704),
         (CoeffVector.from_entries((q, spread(q)) for q in range(2, 300, 2)), "bp",
          132.95597192698952, 1533.0692533653598),
         (monotone, "sp", 47.09377412517642, 323.18057158167625),

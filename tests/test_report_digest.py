@@ -26,7 +26,7 @@ SMALL = {
 DIGESTS = {
     "norm-oracle": "f2a5c57605eda8cddfb561148ea2ad3af847e0f250cefb3095e873ccbd504ec4",
     "tau-oracle": "6548035a7484d837518195bc397ed8bab240f06bf44fd928b63083e751e21ab0",
-    "lemma22": "8c460dfc2bc1ab0495b7224a44ff9379e14edf463d8f556e035703d32747bbf1",
+    "lemma22": "6d2a1ea9f46fef64ddfd60907c20cad115c9d2fd03e8620576d153a975564924",
     "jameson": "9742459d7f002d7b51de746f7f71ac5903f1fb0e324316df67e4d36968b18d98",
     "domination": "c207087d5d841781c189845dd9b53fa0f905307ac2799cf8036f80f3e27d1d80",
     "sigma": "b52399a33084415bc5dc200b2d2d9e30fa0d51a21c4c3eba0a30cb5a9c7dcc2f",
