@@ -3,7 +3,7 @@ constructions, and the seeded verification suites.
 
 Exit codes: 0 success, 1 failed verification check, 2 parse/usage error,
 3 truncation (index set or partition not materialized far enough),
-4 oracle/size limit exceeded (float overflow included), 5 internal error.
+4 oracle/size limit exceeded (float overflow, over-long integers), 5 internal error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .intset import IntSet
-from .vectors import scalar_from_json, vector_from_json_obj
+from .vectors import ints_from_json, scalar_from_json, vector_from_json_obj
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,9 +53,7 @@ def _parse_set(text: str) -> IntSet:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad set JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise InvalidInputError("set must be a JSON array of integers")
-    return IntSet.from_iterable(data)
+    return IntSet.from_iterable(ints_from_json(data, "set"))
 
 
 def _emit(obj) -> None:
@@ -312,6 +310,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # a bug: keep it apart from "verification failed"
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            print(f"error (size limit): an integer has more than {limit} digits, Python's "
+                  "int/str conversion limit (set by PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
+            return EXIT_ORACLE
         print(f"error (internal): {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

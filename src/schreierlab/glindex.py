@@ -16,7 +16,7 @@ from .errors import InvalidInputError, TruncationError
 from .intset import IntSet
 from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import _tau1_count_sorted, as_positive_intset, tau1
-from .vectors import CoeffVector
+from .vectors import CoeffVector, ints_from_json
 
 
 class IndexSet:
@@ -320,7 +320,5 @@ def parse_index_rule(text: str) -> IndexSet:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad index set JSON {text!r}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-            raise InvalidInputError("explicit index set must be a JSON integer array")
-        return IndexSet.explicit(data)
+        return IndexSet.explicit(ints_from_json(data, "explicit index set"))
     raise InvalidInputError(f"unknown index set rule {text!r}")

@@ -18,8 +18,10 @@ runs of x (_run_scan).  baernstein_norm runs a dynamic program over the
 sorted support up to DEFAULT_DP_LIMIT points, where a block with fixed
 first/last element is filled greedily with the largest intermediate |x|
 values (adding a non-negative term to a block sum never decreases beta_p
-and cannot affect the remainder); beyond it, for non-increasing |x| of any
-size, a two-sided bound that must be tight (_monotone_bp).
+and cannot affect the remainder); its one pass also keeps the first optimal
+last element of each block, and following those gives the least optimal
+chain as the witness (_bp_dp).  Beyond the limit, for non-increasing |x|
+of any size, a two-sided bound that must be tight (_monotone_bp).
 """
 
 from __future__ import annotations
@@ -400,28 +402,33 @@ def schreier_norm(x: CoeffVector, p, mode: str = "auto") -> NormResult:
 
 
 def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
+    """The best chain value W[0] and the least optimal chain (chains compared
+    block by block, blocks as sorted position tuples).
+
+    W[i] is the best chain whose first block starts at support point i, and
+    last[i] the first t whose best block from i to t reaches it; the witness
+    walks i -> last[i] + 1.  That is the least optimal chain, because for a
+    fixed i the best block B(t) is below B(t') whenever t < t'.  Both bodies
+    are the top min(pos[i]-2, t-i-1) points by (value descending, position
+    ascending), so B(t')'s body before t lies inside B(t)'s (B(t) takes every
+    point there, or both take pos[i]-2).  So B(t) is a prefix of B(t'), or
+    the least point where they differ is B(t)'s alone.
+    """
     powfn = _powfn(p, mode)
     pairs = x.pairs()
     pos = [q for q, _ in pairs]
     val = [abs(v) for _, v in pairs]
     n = len(pairs)
 
-    def iter_blocks(i: int, with_positions: bool):
-        """Blocks with first support point i: (last index t, block sum, positions).
-
-        For fixed endpoints the best block adds the largest min(pos[i]-2, t-i-1)
-        intermediate values; value ties prefer smaller positions.  The top-k sum
-        is maintained incrementally; forward pass and witness reconstruction
-        share this generator, so float-mode values reproduce bit for bit.
-        """
-        yield i, val[i], (pos[i],) if with_positions else None
-        if pos[i] < 2:
-            return
-        budget = pos[i] - 2
-        inter: list[tuple] = []  # (-value, position), sorted
+    W: list[Pow] = [0] * (n + 1)
+    last = list(range(n))
+    for i in range(n - 1, -1, -1):
+        best = powfn(val[i]) + W[i + 1]  # the block {pos[i]}
+        budget = pos[i] - 2  # points between the ends; none when pos[i] is 1
+        inter: list[tuple] = []  # (-value, position) of the points i+1..t-1, sorted
         k = 0
-        topsum: Pow = 0
-        for t in range(i + 1, n):
+        topsum: Pow = 0  # the sum of the k = min(budget, t-i-1) largest values in inter
+        for t in range(i + 1, n) if budget >= 0 else ():
             if t > i + 1:
                 item = (-val[t - 1], pos[t - 1])
                 idx = bisect_left(inter, item)
@@ -431,42 +438,18 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
                 if k < budget and len(inter) > k:
                     topsum = topsum + (-inter[k][0])
                     k += 1
-            s = val[i] + topsum + val[t]
-            if with_positions:
-                body = tuple(sorted(inter[j][1] for j in range(k)))
-                yield t, s, (pos[i],) + body + (pos[t],)
-            else:
-                yield t, s, None
-        return
-
-    W: list[Pow] = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        best = None
-        for t, s, _ in iter_blocks(i, False):
-            cand = powfn(s) + W[t + 1]
-            if best is None or cand > best:
-                best = cand
+            cand = powfn(val[i] + topsum + val[t]) + W[t + 1]
+            if cand > best:
+                best, last[i] = cand, t
         W[i] = best
 
-    memo: dict[int, tuple] = {}
-
-    def chain_from(i: int) -> tuple:
-        if i == n:
-            return ()
-        if i not in memo:
-            target = W[i]
-            best_chain = None
-            for t, s, blockpos in iter_blocks(i, True):
-                if powfn(s) + W[t + 1] == target:
-                    cand = (blockpos,) + chain_from(t + 1)
-                    if best_chain is None or cand < best_chain:
-                        best_chain = cand
-            memo[i] = best_chain
-        return memo[i]
-
-    blocks = chain_from(0)
-    witness = SchreierChain(IntSet.from_iterable(b) for b in blocks)
-    return W[0], witness
+    blocks, i = [], 0
+    while i < n:
+        t = last[i]
+        body = sorted(range(i + 1, t), key=lambda j: (-val[j], pos[j]))[: pos[i] - 2]
+        blocks.append(IntSet.from_iterable(pos[j] for j in (i, *body, t)))
+        i = t + 1
+    return W[0], SchreierChain(blocks)
 
 
 def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
@@ -503,22 +486,20 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     return lower, chain
 
 
-def baernstein_norm(
-    x: CoeffVector, p, mode: str = "auto", *, dp_limit: int | None = None
-) -> NormResult:
-    """Supremum of beta_p over Schreier chains, with an attaining witness."""
+def baernstein_norm(x: CoeffVector, p, mode: str = "auto") -> NormResult:
+    """Supremum of beta_p over Schreier chains, with an attaining witness: the
+    least optimal chain from the DP (_bp_dp), tau1's chain from the sandwich."""
     validate_exponent(p, SPACE_BAERNSTEIN)
     m = resolve_mode(x, p, mode)
     if x.is_zero:
         return NormResult(SPACE_BAERNSTEIN, p, m, 0.0, 0, None, zero_vector=True)
-    limit = DEFAULT_DP_LIMIT if dp_limit is None else dp_limit
-    if x.support_size <= limit:
+    if x.support_size <= DEFAULT_DP_LIMIT:
         pow_value, witness = _on_ints(_bp_dp, x, p, m)
     elif x.is_nonincreasing_abs():
         pow_value, witness = _on_ints(_monotone_bp, x, p, m)
     else:
         raise SizeLimitError(
-            f"support size {x.support_size} exceeds the chain DP limit {limit} "
+            f"support size {x.support_size} exceeds the chain DP limit {DEFAULT_DP_LIMIT} "
             "and the entries are not non-increasing"
         )
     return NormResult(SPACE_BAERNSTEIN, p, m, _root(pow_value, p), pow_value, witness)

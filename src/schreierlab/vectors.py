@@ -286,6 +286,13 @@ def scalar_from_json(raw) -> Scalar:
     return raw
 
 
+def ints_from_json(obj, what: str) -> list[int]:
+    """obj, which must be a JSON array of integers (true and false are not)."""
+    if not isinstance(obj, list) or not all(type(v) is int for v in obj):
+        raise InvalidInputError(f"{what} must be a JSON array of integers")
+    return obj
+
+
 def vector_to_json_obj(x: CoeffVector) -> dict:
     """{"index": "value"} object form; values are "num/den" or floats."""
     if x.support_size > PAIRS_LIMIT:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -224,6 +225,49 @@ def test_norm_past_the_chain_dp_limit_is_a_size_limit(capsys):
     assert err.startswith("error (size limit):") and "chain DP limit" in err
     code, out, _ = run_cli(capsys, "norm", "--space", "sp", "--p", "2", "--vec", vec)
     assert code == 0 and json.loads(out)["value_pow"] == "521/1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "--vec", '["1/3"]', "--p", "10000"),  # 3^10000 has 4,772 digits
+        ("construct", "mpb", "--n", "170"),
+    ],
+)
+def test_integers_too_long_to_print_are_a_size_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error (size limit):") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
+def test_other_value_errors_stay_internal(capsys, monkeypatch):
+    def broken(_):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli.schreier, "tau1", broken)
+    code, out, err = run_cli(capsys, "tau", "--set", "[1, 2]")
+    assert code == 5
+    assert err == "error (internal): ValueError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tau", "--set", "[true,2]"),
+        ("tau", "--set", "[false,2]"),
+        ("glindex", "--M", "[true,3]", "--N", "all", "--K", "2"),
+        ("glindex", "--M", "all", "--N", "[1,true]", "--K", "2"),
+        ("construct", "witness", "--M", "[true,3]", "--N", "even", "--m", "3", "--n-max", "6"),
+        ("construct", "lset", "--N", "[true,3]", "--through", "3", "--n-max", "4"),
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.endswith("must be a JSON array of integers\n")
 
 
 @pytest.mark.parametrize(

@@ -2,20 +2,23 @@
 
 The exact engines run on x*L as ints (L the lcm of the denominators) and the
 Schreier engine scans runs over a Fenwick tree with exact sums in both
-modes.  These tests hold them to a copy of the per-candidate-sort scan, to
-the exhaustive oracle, to scaling invariance on every engine path, and to
-float values pinned bit for bit.
+modes.  These tests hold them to a copy of the per-candidate-sort scan and
+of the chain DP that rebuilt its witness in a second pass, to the
+exhaustive oracle, to scaling invariance on every engine path, and to float
+values pinned bit for bit.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
+from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import schreierlab as sl
-from schreierlab import CoeffVector
-from schreierlab.norms import DEFAULT_DP_LIMIT, _int_weights, _powfn, _run_scan
+from schreierlab import CoeffVector, IntSet, SchreierChain
+from schreierlab.norms import DEFAULT_DP_LIMIT, _bp_dp, _int_weights, _powfn, _run_scan
 
 DENOMS = (1, 2, 3, 5, 7, 11, 13)
 KINDS = ("int", "frac", "float", "mixed")
@@ -39,6 +42,71 @@ def reference_sp_scan(x, p, mode):
     return (best_pow if mode == "exact" else float(best_pow)), list(best_wit)
 
 
+def reference_bp_dp(x, p, mode):
+    """The chain DP that rebuilds its witness in a second pass.
+
+    The forward pass computes W; the witness is then the least chain, over
+    every t tied at the optimum, of the block ending at t followed by the
+    least optimal chain after t, with whole chains compared as tuples.
+    """
+    powfn = _powfn(p, mode)
+    pairs = x.pairs()
+    pos = [q for q, _ in pairs]
+    val = [abs(v) for _, v in pairs]
+    n = len(pairs)
+
+    def iter_blocks(i, with_positions):
+        yield i, val[i], (pos[i],) if with_positions else None
+        if pos[i] < 2:
+            return
+        budget = pos[i] - 2
+        inter = []  # (-value, position), sorted
+        k = 0
+        topsum = 0
+        for t in range(i + 1, n):
+            if t > i + 1:
+                item = (-val[t - 1], pos[t - 1])
+                idx = bisect_left(inter, item)
+                inter.insert(idx, item)
+                if idx < k:  # displaced the current k-th element
+                    topsum = topsum + val[t - 1] - (-inter[k][0])
+                if k < budget and len(inter) > k:
+                    topsum = topsum + (-inter[k][0])
+                    k += 1
+            s = val[i] + topsum + val[t]
+            if with_positions:
+                body = tuple(sorted(inter[j][1] for j in range(k)))
+                yield t, s, (pos[i],) + body + (pos[t],)
+            else:
+                yield t, s, None
+
+    W = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        best = None
+        for t, s, _ in iter_blocks(i, False):
+            cand = powfn(s) + W[t + 1]
+            if best is None or cand > best:
+                best = cand
+        W[i] = best
+
+    memo = {}
+
+    def chain_from(i):
+        if i == n:
+            return ()
+        if i not in memo:
+            best_chain = None
+            for t, s, blockpos in iter_blocks(i, True):
+                if powfn(s) + W[t + 1] == W[i]:
+                    cand = (blockpos,) + chain_from(t + 1)
+                    if best_chain is None or cand < best_chain:
+                        best_chain = cand
+            memo[i] = best_chain
+        return memo[i]
+
+    return W[0], SchreierChain(IntSet.from_iterable(b) for b in chain_from(0))
+
+
 def scalars(kind):
     a = st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4))
     d = st.sampled_from(DENOMS)
@@ -48,6 +116,8 @@ def scalars(kind):
         return st.builds(Fraction, a, d)
     if kind == "float":
         return st.builds(lambda n, m: n / m, a, d)
+    if kind == "sign":
+        return st.sampled_from((1, -1))
     return st.one_of(a, st.builds(Fraction, a, d))
 
 
@@ -141,6 +211,61 @@ def test_float_scan_rounds_the_exact_sum_once(data, kind, p):
                for f in sl.enumerate_schreier_subsets(x.support()))
 
 
+def _assert_matches_two_pass_dp(x, p):
+    mode = sl.norms.resolve_mode(x, p)
+    value, witness = _bp_dp(x, p, mode)
+    ref_value, ref_witness = reference_bp_dp(x, p, mode)
+    assert value == ref_value and type(value) is type(ref_value)  # bit-equal in float mode
+    assert witness == ref_witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS + ("sign",)),
+       p=st.sampled_from((2, 3, 1.5, 2.5)))
+def test_chain_dp_matches_the_two_pass_dp(data, kind, p):
+    _assert_matches_two_pass_dp(data.draw(vectors(kind, max_support=DEFAULT_DP_LIMIT)), p)
+
+
+def test_chain_dp_matches_the_two_pass_dp_near_the_limit():
+    rng = random.Random(101)
+    for kind in ("int", "frac", "float", "mixed", "sign") * 2:
+        entries, q = [], 0
+        for _ in range(rng.randint(DEFAULT_DP_LIMIT - 40, DEFAULT_DP_LIMIT)):
+            q += rng.randint(1, 3)
+            a, d = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice(DENOMS)
+            v = {"int": a, "frac": Fraction(a, d), "float": a / d, "sign": a // abs(a),
+                 "mixed": rng.choice((a, Fraction(a, d)))}[kind]
+            entries.append((q, v))
+        _assert_matches_two_pass_dp(CoeffVector.from_entries(entries), rng.choice((2, 3, 1.5)))
+
+
+def _best_block(pairs, i, t):
+    """Brute force over every admissible block from support point i to t:
+    the least block (sorted positions) of the greatest sum of |x|."""
+    first = pairs[i][0]
+    if t == i:
+        return (first,)
+    inner = pairs[i + 1 : t]
+    bodies = (b for k in range(min(first - 2, len(inner)) + 1) for b in combinations(inner, k))
+    return min(
+        (-sum(abs(v) for _, v in body), (first, *(q for q, _ in body), pairs[t][0]))
+        for body in bodies
+    )[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("int", "frac", "sign")))
+def test_best_blocks_rise_with_their_last_point(data, kind):
+    """For a fixed first point the best block ending at t is below the best
+    block ending at any later t, which lets the chain DP take the first
+    optimal t at each step as the least chain."""
+    pairs = data.draw(vectors(kind, max_support=9)).pairs()
+    for i, (first, _) in enumerate(pairs):
+        ends = range(i, len(pairs) if first >= 2 else i + 1)
+        blocks = [_best_block(pairs, i, t) for t in ends]
+        assert all(a < b for a, b in zip(blocks, blocks[1:]))
+
+
 def _first_maximizer(points):
     """Brute force over the expanded points (position, weight): the first
     position whose set adds the pos - 1 heaviest later points is the best."""
@@ -220,7 +345,9 @@ def test_run_scan_commutes_with_scaling(x, c, p):
 )
 def test_sandwich_commutes_with_scaling(start, count, base, c, p):
     x = sl.flat_vector(sl.maximal_chain_from(start, count), p, "bp").scaled(base)
-    _assert_scales(partial(sl.baernstein_norm, dp_limit=0), x, c, p)
+    with pytest.MonkeyPatch.context() as mp:  # the sandwich at every size
+        mp.setattr(sl.norms, "DEFAULT_DP_LIMIT", 0)
+        _assert_scales(sl.baernstein_norm, x, c, p)
 
 
 def test_mixed_int_and_fraction_entries_give_a_fraction():

@@ -8,7 +8,6 @@ oracle; a refusal is SizeLimitError or OverflowError, never anything else.
 import dataclasses
 import math
 import sys
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,7 +98,9 @@ def test_run_scan_answers_or_refuses_at_every_magnitude(x, p):
 @settings(max_examples=300, deadline=None)
 @given(x=nonincreasing_vectors(), p=st.sampled_from(BP_EXPONENTS))
 def test_sandwich_answers_or_refuses_at_every_magnitude(x, p):
-    _answers_or_refuses(partial(sl.baernstein_norm, dp_limit=0), x, p, "bp")
+    with pytest.MonkeyPatch.context() as mp:  # the sandwich at every size
+        mp.setattr(sl.norms, "DEFAULT_DP_LIMIT", 0)
+        _answers_or_refuses(sl.baernstein_norm, x, p, "bp")
 
 
 def test_sandwich_tightness_is_relative_below_one():
@@ -109,8 +110,10 @@ def test_sandwich_tightness_is_relative_below_one():
     for scale in (1.0, 1e-6, 1e-200):
         y = x.scaled(scale)
         assert sl.baernstein_norm(y, 1.5).value_pow > 0
-        with pytest.raises(sl.SizeLimitError, match="not tight"):
-            sl.baernstein_norm(y, 1.5, dp_limit=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sl.norms, "DEFAULT_DP_LIMIT", 0)
+            with pytest.raises(sl.SizeLimitError, match="not tight"):
+                sl.baernstein_norm(y, 1.5)
 
 
 def test_check_is_relative_below_one():

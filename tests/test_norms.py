@@ -367,8 +367,9 @@ def test_size_limit_paths():
     # non-monotone vector is refused rather than guessed at
     up = CoeffVector.from_runs([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
     assert sl.schreier_norm(up, 2).value_pow == 3003
-    with pytest.raises(sl.SizeLimitError):
-        sl.baernstein_norm(up, 2, dp_limit=100)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(sl.SizeLimitError):
+        mp.setattr(sl.norms, "DEFAULT_DP_LIMIT", 100)
+        sl.baernstein_norm(up, 2)
     # monotone large vectors: the chain norm goes through the sandwich
     down = sl.flat_vector(sl.maximal_chain_from(2, 14), 2, "bp")
     assert down.support_size > 16000
@@ -436,30 +437,39 @@ def test_sigma_contraction():
             assert sl.lp_norm_pow(out, p) <= sl.baernstein_norm(x, p).value_pow
 
 
+def _assert_least_optimal_witnesses(x, p, q):
+    """The sp witness at p and the bp witness at q are the least optimal ones,
+    found by enumerating every Schreier set and every chain."""
+    r = sl.schreier_norm(x, p)
+    best = r.value_pow
+    optimal = [
+        tuple(f.to_list())
+        for f in sl.enumerate_schreier_subsets(x.support())
+        if sl.mu_p_pow(x, f, p) == best
+    ]
+    assert tuple(r.witness.to_list()) == min(optimal)
+    rb = sl.baernstein_norm(x, q)
+    bbest = rb.value_pow
+    chains = [
+        tuple(tuple(s.to_list()) for s in c)
+        for c in sl.enumerate_chains(x.support())
+        if sl.beta_p_pow(x, c, q) == bbest
+    ]
+    got = tuple(tuple(s.to_list()) for s in rb.witness)
+    assert got == min(chains)
+
+
 def test_witness_is_lex_minimal_among_optima_small():
     # enumerate all optimal witnesses on tiny supports and compare
     rng = random.Random(83)
     for _ in range(40):
         x = rand_vector(rng, max_support=5, window=9)
-        p = rng.choice([1, 2])
-        r = sl.schreier_norm(x, p)
-        best = r.value_pow
-        optimal = [
-            tuple(f.to_list())
-            for f in sl.enumerate_schreier_subsets(x.support())
-            if sl.mu_p_pow(x, f, p) == best
-        ]
-        assert tuple(r.witness.to_list()) == min(optimal)
-        q = rng.choice([2, 3])
-        rb = sl.baernstein_norm(x, q)
-        bbest = rb.value_pow
-        chains = [
-            tuple(tuple(s.to_list()) for s in c)
-            for c in sl.enumerate_chains(x.support())
-            if sl.beta_p_pow(x, c, q) == bbest
-        ]
-        got = tuple(tuple(s.to_list()) for s in rb.witness)
-        assert got == min(chains)
+        _assert_least_optimal_witnesses(x, rng.choice([1, 2]), rng.choice([2, 3]))
+    # +-1 and {1, 2} entries on up to 8 points tie many chains at the optimum
+    for values in [(1, -1), (1, 2)] * 30:
+        supp = sorted(rng.sample(range(1, 13), rng.randint(1, 8)))
+        x = CoeffVector.from_entries((q, rng.choice(values)) for q in supp)
+        _assert_least_optimal_witnesses(x, rng.choice([1, 2]), rng.choice([2, 3]))
 
 
 def test_monotone_bp_sandwich_with_support_gaps():
