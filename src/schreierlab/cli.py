@@ -297,8 +297,15 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"error (truncation): {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except (SizeLimitError, OverflowError) as exc:
+    except SizeLimitError as exc:
         print(f"error (size limit): {exc}", file=sys.stderr)
+        return EXIT_ORACLE
+    except OverflowError as exc:
+        # float ** raises with an errno tuple, (34, 'Numerical result out of range')
+        readable = exc.args and isinstance(exc.args[0], str)
+        what = exc if readable else "a float result is out of range"
+        print(f"error (size limit): {what}; the largest float is {sys.float_info.max!r}",
+              file=sys.stderr)
         return EXIT_ORACLE
     except OracleLimitError as exc:
         print(f"error (oracle limit): {exc}", file=sys.stderr)

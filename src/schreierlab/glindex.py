@@ -10,46 +10,49 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, TruncationError
 from .intset import IntSet
 from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
-from .schreier import _tau1_count_sorted, as_positive_intset, tau1
+from .schreier import _tau1_count_sorted, as_positive_intset
 from .vectors import CoeffVector, ints_from_json
 
 
 class IndexSet:
-    """Strictly increasing integer sequence with a materializable prefix.
+    """Strictly increasing integer sequence, read lazily from one stream.
 
-    Rule-backed sets (arithmetic progressions, 2M, 2M-1, unions, interval
-    sets) materialize lazily and cache; explicit sets raise TruncationError
-    beyond their prefix instead of extrapolating.
+    `element(j)` pulls the stream into a cache up to its j-th element.
+    `limit` is the length when it is known in advance (explicit and interval
+    sets and their doubles), None otherwise; a set never extrapolates past
+    its end but raises TruncationError there.
     """
 
-    def __init__(self, rule: str, generator=None, prefix=None, limit=None):
+    def __init__(self, rule: str, stream: Iterable[int], limit: int | None = None,
+                 intset: IntSet | None = None):
         self.rule = rule
-        self._gen = generator  # callable j -> element, or None
-        self._cache: list[int] = list(prefix or [])
-        self._limit = limit if limit is not None else (len(self._cache) if generator is None else None)
-        self._intset: IntSet | None = None  # set by from_intset
-        for a, b in zip(self._cache, self._cache[1:]):
-            if a >= b:
-                raise InvalidInputError("index set must be strictly increasing")
-        if self._cache and self._cache[0] < 1:
-            raise InvalidInputError("index set elements must be positive")
+        self._stream = iter(stream)
+        self._cache: list[int] = []
+        self._limit = limit
+        self._intset = intset  # interval-backed sets select ordinals directly
 
     # -- factories ----------------------------------------------------------
 
     @classmethod
     def explicit(cls, elements: Sequence[int]) -> "IndexSet":
-        return cls("explicit", prefix=list(elements))
+        xs = list(elements)
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise InvalidInputError("index set must be strictly increasing")
+        if xs and xs[0] < 1:
+            raise InvalidInputError("index set elements must be positive")
+        return cls("explicit", xs, limit=len(xs))
 
     @classmethod
     def arithmetic(cls, a: int, d: int) -> "IndexSet":
         if a < 1 or d < 1:
             raise InvalidInputError("arithmetic rule needs a >= 1, d >= 1")
-        return cls(f"arith({a},{d})", generator=lambda j: a + (j - 1) * d)
+        return cls(f"arith({a},{d})", count(a, d))
 
     @classmethod
     def naturals(cls) -> "IndexSet":
@@ -66,14 +69,12 @@ class IndexSet:
     @classmethod
     def doubled(cls, base: "IndexSet") -> "IndexSet":
         """2M = {2m : m in M}."""
-        return cls(f"2*({base.rule})", generator=lambda j: 2 * base.element(j),
-                   limit=base._limit)
+        return cls(f"2*({base.rule})", (2 * m for m in base.elements()), base._limit)
 
     @classmethod
     def doubled_minus_one(cls, base: "IndexSet") -> "IndexSet":
         """2M-1 = {2m-1 : m in M}."""
-        return cls(f"2*({base.rule})-1", generator=lambda j: 2 * base.element(j) - 1,
-                   limit=base._limit)
+        return cls(f"2*({base.rule})-1", (2 * m - 1 for m in base.elements()), base._limit)
 
     @classmethod
     def union(cls, a: "IndexSet", b: "IndexSet") -> "IndexSet":
@@ -88,25 +89,11 @@ class IndexSet:
                 if bv == e:
                     bv = next(itb, None)
 
-        # element() asks for j = len(cache) + 1 in order, so one merge
-        # serves every call; once it is spent every request refuses
-        merged = merge()
-
-        def gen_next(j: int) -> int:
-            e = next(merged, None)
-            if e is None:
-                raise TruncationError(
-                    f"union of ({a.rule}) and ({b.rule}) exhausted at length {j - 1}"
-                )
-            return e
-
-        return cls(f"({a.rule})|({b.rule})", generator=gen_next)
+        return cls(f"({a.rule})|({b.rule})", merge())
 
     @classmethod
     def from_intset(cls, s: IntSet, rule: str = "intervals") -> "IndexSet":
-        obj = cls(rule, generator=s.element_at, limit=s.size)
-        obj._intset = s
-        return obj
+        return cls(rule, s.iter_elements(), s.size, s)
 
     # -- access --------------------------------------------------------------
 
@@ -119,7 +106,12 @@ class IndexSet:
                 f"requested element {j}"
             )
         while len(self._cache) < j:
-            nxt = self._gen(len(self._cache) + 1)
+            nxt = next(self._stream, None)
+            if nxt is None:
+                raise TruncationError(
+                    f"index set ({self.rule}) ends at length {len(self._cache)}, "
+                    f"requested element {j}"
+                )
             if self._cache and nxt <= self._cache[-1]:
                 raise InvalidInputError("index set rule is not strictly increasing")
             self._cache.append(nxt)
@@ -171,10 +163,6 @@ class IndexSet:
         return f"IndexSet({self.rule})"
 
 
-def select(m: IndexSet, j_set) -> IntSet:
-    return m.select(j_set)
-
-
 def is_spread_of(a: IndexSet, b: IndexSet, k: int) -> bool:
     """True iff a_i >= b_i for all i <= K (A is a spread of B)."""
     if k < 1:
@@ -220,22 +208,6 @@ def gl_index_truncated(m: IndexSet, n: IndexSet, k: int) -> TruncatedGLIndex:
     values = [_tau1_count_sorted(mp[lo - 1 : hi]) for lo, hi in windows]
     best = values.index(max(values))
     return TruncatedGLIndex(values[best], IntSet.interval(*windows[best]), k)
-
-
-def theta_fiber_stats(theta: dict[int, int], schreier_window: Iterable) -> tuple[int, int]:
-    """(max fiber size, max tau1 of a fiber over the supplied Schreier sets)."""
-    fibers: dict[int, list[int]] = {}
-    for src, dst in theta.items():
-        fibers.setdefault(dst, []).append(src)
-    max_fiber = max((len(v) for v in fibers.values()), default=0)
-    max_tau = 0
-    for f in schreier_window:
-        fs = as_positive_intset(f)
-        pre = [src for src, dst in theta.items() if dst in fs]
-        if pre:
-            count, _ = tau1(IntSet.from_iterable(pre))
-            max_tau = max(max_tau, count)
-    return max_fiber, max_tau
 
 
 def domination_constant(m: IndexSet, n: IndexSet, k: int, p, space: str) -> float:
@@ -285,10 +257,21 @@ def check_domination(
     return DominationCheck(lhs=rn.value, rhs=const * rm.value, holds=bool(holds))
 
 
+# Each rule operator nests one more stream, and parsing and reading a
+# nested rule both recurse, so the depth is refused before either starts.
+MAX_RULE_OPERATORS = 100
+
+
 def parse_index_rule(text: str) -> IndexSet:
     """Parse CLI-style rules: all|even|odd|arith:a:d|double:R|doubleodd:R|union:R|R
     or an explicit JSON array of integers."""
     t = text.strip().lower()
+    ops = sum(t.count(op) for op in ("double:", "doubleodd:", "union:"))
+    if ops > MAX_RULE_OPERATORS:
+        raise InvalidInputError(
+            f"index rule has {ops} operators (double:, doubleodd:, union:), "
+            f"more than the {MAX_RULE_OPERATORS} allowed"
+        )
     if t in ("all", "naturals", "n"):
         return IndexSet.naturals()
     if t in ("even", "evens"):

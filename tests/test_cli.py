@@ -84,6 +84,23 @@ def test_glindex_truncation_exit_code(capsys):
     assert "truncation" in err
 
 
+@pytest.mark.parametrize("op", ["double:", "doubleodd:", "union:even;"])
+def test_glindex_refuses_more_than_100_rule_operators(capsys, op):
+    code, out, err = run_cli(capsys, "glindex", "--M", op * 101 + "all", "--N", "all", "--K", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "101 operators" in err and "100 allowed" in err
+
+
+@pytest.mark.parametrize("op", ["double:", "union:even;"])
+def test_glindex_answers_100_nested_rule_operators(capsys, op):
+    # inside pytest, whose own frames count toward the recursion limit
+    code, out, err = run_cli(capsys, "glindex", "--M", op * 100 + "all", "--N", "all", "--K", "3")
+    assert code == 0 and err == ""
+    assert json.loads(out)["K"] == 3
+
+
 def test_construct_mpb_echoes_covering_numbers(capsys):
     code, out, _ = run_cli(capsys, "construct", "mpb", "--n", "5")
     assert code == 0
@@ -213,6 +230,25 @@ def test_norm_float_overflow_is_a_size_limit(capsys, vec, p):
     assert code == 4
     assert out == ""
     assert err.startswith("error (size limit):") and err.count("\n") == 1
+    assert f"the largest float is {sys.float_info.max!r}" in err
+
+
+@pytest.mark.parametrize(
+    "vec, p",
+    [
+        ("[1e200,1]", "2"),
+        ("[1e300,1e300]", "1.5"),
+    ],
+)
+def test_chain_norm_float_overflow_names_the_limit(capsys, vec, p):
+    # float ** raises OverflowError(34, 'Numerical result out of range')
+    code, out, err = run_cli(capsys, "norm", "--space", "bp", "--vec", vec, "--p", p)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error (size limit): a float result is out of range; "
+        f"the largest float is {sys.float_info.max!r}\n"
+    )
 
 
 def test_norm_past_the_chain_dp_limit_is_a_size_limit(capsys):

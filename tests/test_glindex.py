@@ -102,7 +102,7 @@ def test_union_keeps_refusing_past_exhaustion():
     for _ in range(2):
         with pytest.raises(
             sl.TruncationError,
-            match=r"^union of \(explicit\) and \(explicit\) exhausted at length 4$",
+            match=r"^index set \(\(explicit\)\|\(explicit\)\) ends at length 4, requested element 5$",
         ):
             u.element(5)
     assert u.element(4) == 5
@@ -116,15 +116,23 @@ def test_contains():
 
 
 def rand_rule_tree(rng, depth=3):
-    """A random IndexSet built from explicit, arith, double, doubleodd and
-    (nested) union rules, with a brute force for it: the sorted list of its
-    elements <= bound, and whether the set is finite."""
-    kinds = ["explicit", "arith", "double", "doubleodd", "union"] if depth else ["explicit", "arith"]
-    kind = rng.choice(kinds)
+    """A random IndexSet built from explicit, arith, interval-backed, double,
+    doubleodd and (nested) union rules, with a brute force for it: the sorted
+    list of its elements <= bound, and whether the set is finite."""
+    leaves = ["explicit", "arith", "intervals"]
+    kind = rng.choice(leaves + ["double", "doubleodd", "union"] if depth else leaves)
     if kind == "explicit":
         n = rng.randint(0, 8)
         xs = rand_prefix(rng, length=n) if n else []
         return IndexSet.explicit(xs), lambda b: [x for x in xs if x <= b], True
+    if kind == "intervals":
+        ivs, hi = [], 0
+        for _ in range(rng.randint(0, 4)):
+            lo = hi + rng.randint(1, 6)
+            hi = lo + rng.randint(0, 5)
+            ivs.append((lo, hi))
+        s = IntSet(ivs)
+        return IndexSet.from_intset(s), lambda b: [x for x in s.iter_elements() if x <= b], True
     if kind == "arith":
         a, d = rng.randint(1, 4), rng.randint(1, 4)
         return IndexSet.arithmetic(a, d), lambda b: list(range(a, b + 1, d)), False
@@ -359,18 +367,6 @@ def test_gl_index_validation():
         sl.gl_index_truncated(IndexSet.naturals(), IndexSet.evens(), 0)
     with pytest.raises(sl.TruncationError):
         sl.gl_index_truncated(IndexSet.explicit([1, 2]), IndexSet.evens(), 5)
-
-
-# -- fibers ----------------------------------------------------------------------
-
-
-def test_theta_fiber_examples():
-    ident = {i: i for i in range(1, 11)}
-    window = [[i] for i in range(1, 11)]
-    assert sl.theta_fiber_stats(ident, window) == (1, 1)
-    const = {i: 7 for i in range(1, 6)}
-    assert sl.theta_fiber_stats(const, [[7]]) == (5, 3)
-    assert sl.theta_fiber_stats({}, []) == (0, 0)
 
 
 # -- domination -------------------------------------------------------------------
