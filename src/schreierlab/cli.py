@@ -301,11 +301,13 @@ def main(argv=None) -> int:
         print(f"error (size limit): {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except OverflowError as exc:
-        # float ** raises with an errno tuple, (34, 'Numerical result out of range')
+        # float ** raises with an errno tuple, (34, 'Numerical result out of range');
+        # other overflows (an int too large for a C index) name no float limit
         readable = exc.args and isinstance(exc.args[0], str)
         what = exc if readable else "a float result is out of range"
-        print(f"error (size limit): {what}; the largest float is {sys.float_info.max!r}",
-              file=sys.stderr)
+        if not readable or "float" in str(exc):
+            what = f"{what}; the largest float is {sys.float_info.max!r}"
+        print(f"error (size limit): {what}", file=sys.stderr)
         return EXIT_ORACLE
     except OracleLimitError as exc:
         print(f"error (oracle limit): {exc}", file=sys.stderr)

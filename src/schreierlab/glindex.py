@@ -163,15 +163,6 @@ class IndexSet:
         return f"IndexSet({self.rule})"
 
 
-def is_spread_of(a: IndexSet, b: IndexSet, k: int) -> bool:
-    """True iff a_i >= b_i for all i <= K (A is a spread of B)."""
-    if k < 1:
-        raise InvalidInputError("K must be positive")
-    pa = a.prefix(k)
-    pb = b.prefix(k)
-    return all(x >= y for x, y in zip(pa, pb))
-
-
 @dataclass(frozen=True)
 class TruncatedGLIndex:
     """Lower-bound certificate: tau1(M(witness)) = value with N(witness) Schreier.
@@ -210,24 +201,6 @@ def gl_index_truncated(m: IndexSet, n: IndexSet, k: int) -> TruncatedGLIndex:
     return TruncatedGLIndex(values[best], IntSet.interval(*windows[best]), k)
 
 
-def domination_constant(m: IndexSet, n: IndexSet, k: int, p, space: str) -> float:
-    """C with ||sum a_j e_{n_j}|| <= C ||sum a_j e_{m_j}|| for coefficients on 1..K.
-
-    C is the truncated index for the chain norm and its p-th root for the
-    Schreier norm; the domination proof only inspects selections inside the
-    coefficient support, so the truncated value suffices for such vectors.
-    """
-    validate_exponent(p, space)
-    return _constant(gl_index_truncated(m, n, k).value, p, space)[0]
-
-
-def _constant(idx: int, p, space: str) -> tuple[float, int]:
-    """(C, C^p) for the truncated index idx; C^p is exact for integral p."""
-    if space == SPACE_BAERNSTEIN:
-        return float(idx), idx**p
-    return float(idx) ** (1.0 / float(p)), idx
-
-
 @dataclass(frozen=True)
 class DominationCheck:
     lhs: float
@@ -236,13 +209,20 @@ class DominationCheck:
 
 
 def check_domination(
-    m: IndexSet, n: IndexSet, k: int, p, space: str, coeffs: Sequence
+    m: IndexSet, n: IndexSet, index: TruncatedGLIndex, p, space: str, coeffs: Sequence
 ) -> DominationCheck:
-    """Evaluate both norms and compare against the truncated-index constant."""
+    """Evaluate both norms and compare against the constant C from the pair's
+    truncated index: C = index for the chain norm, its p-th root for the
+    Schreier norm.  The domination proof only inspects selections inside the
+    coefficient support, so the truncated value suffices for coefficients on
+    1..index.k."""
     validate_exponent(p, space)
-    if len(coeffs) > k:
-        raise TruncationError(f"{len(coeffs)} coefficients exceed K={k}")
-    const, const_pow = _constant(gl_index_truncated(m, n, k).value, p, space)
+    if len(coeffs) > index.k:
+        raise TruncationError(f"{len(coeffs)} coefficients exceed K={index.k}")
+    if space == SPACE_BAERNSTEIN:  # C and C^p; C^p is exact for integral p
+        const, const_pow = float(index.value), index.value**p
+    else:
+        const, const_pow = float(index.value) ** (1.0 / float(p)), index.value
     xm = CoeffVector.from_entries(
         (m.element(j + 1), c) for j, c in enumerate(coeffs) if c != 0
     )

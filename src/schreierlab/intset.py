@@ -118,11 +118,6 @@ class IntSet:
             raise InvalidInputError(f"cannot take first {k} of {self._size} elements")
         return IntSet(self._slice(1, k))
 
-    def drop_first(self, k: int) -> "IntSet":
-        if k < 0 or k > self._size:
-            raise InvalidInputError(f"cannot drop first {k} of {self._size} elements")
-        return IntSet(self._slice(k + 1, self._size))
-
     def select_ordinals(self, ordinals: "IntSet") -> "IntSet":
         """Subset at the given 1-based ordinal positions."""
         if ordinals.is_empty:

@@ -353,8 +353,13 @@ def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:
             while k:
                 heavier += cnt[k]
                 k &= k - 1
-            stops_rising = lambda q: f(q + 1, hi, w, heavier)[0] <= f(q, hi, w, heavier)[0]
-            a = lo + bisect_left(range(lo, hi), True, key=stops_rising)
+            a, b = lo, hi  # the first q in [lo, hi) where f stops rising, else hi
+            while a < b:  # by hand: bisect over a range fails past sys.maxsize points
+                q = (a + b) // 2
+                if f(q + 1, hi, w, heavier)[0] <= f(q, hi, w, heavier)[0]:
+                    b = q
+                else:
+                    a = q + 1
             value, j = f(a, hi, w, heavier)
         if value >= best:
             best, best_at = value, (r, a, j)

@@ -60,28 +60,6 @@ def is_maximal_schreier(f) -> bool:
     return not s.is_empty and s.size == s.min
 
 
-def is_spread(f, g) -> bool:
-    """True iff G is a spread of F: same size and f_i <= g_i elementwise.
-
-    Spreads preserve admissibility, so is_schreier(F) implies is_schreier(G)
-    whenever this returns True.
-    """
-    fs = as_positive_intset(f)
-    gs = as_positive_intset(g)
-    if fs.size != gs.size:
-        raise InvalidInputError(
-            f"spread comparison needs equal sizes, got {fs.size} and {gs.size}"
-        )
-    # f strictly increases, so along one interval of G the gap g_i - f_i only
-    # shrinks: checking each interval's last ordinal is enough.
-    o = 0
-    for glo, ghi in gs.intervals:
-        o += ghi - glo + 1
-        if fs.element_at(o) > ghi:
-            return False
-    return True
-
-
 class SchreierChain:
     """Non-empty list of non-empty, successive Schreier sets."""
 

@@ -410,11 +410,12 @@ def _domination_pair(seed, k, coeff_count, pair_index):
     rng = _rng(seed, "domination-pair", pair_index)
     m = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
     n = gl.IndexSet.explicit(_rand_prefix(rng, k + 2))
+    index = gl.gl_index_truncated(m, n, k)
     for space, p in _NORM_COMBOS:
         for i in range(coeff_count):
             crng = _rng(seed, "domination-coeffs", pair_index, space, p, i)
             coeffs = [crng.randint(-4, 4) for _ in range(crng.randint(1, k))]
-            res = gl.check_domination(m, n, k, p, space, coeffs)
+            res = gl.check_domination(m, n, index, p, space, coeffs)
             yield None if res.holds else f"pair={pair_index} space={space} p={p} coeffs={coeffs}"
 
 

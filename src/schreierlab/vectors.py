@@ -76,10 +76,6 @@ class CoeffVector:
         return cls((i, i, v) for i, v in enumerate(values, start=1))
 
     @classmethod
-    def from_runs(cls, runs) -> "CoeffVector":
-        return cls(runs)
-
-    @classmethod
     def basis(cls, n: int, coeff: Scalar = 1) -> "CoeffVector":
         return cls(((n, n, coeff),))
 
@@ -150,9 +146,6 @@ class CoeffVector:
             return CoeffVector()
         return CoeffVector((lo, hi, c * v) for lo, hi, v in self._runs)
 
-    def __neg__(self) -> "CoeffVector":
-        return self.scaled(-1)
-
     def __add__(self, other: "CoeffVector") -> "CoeffVector":
         if not isinstance(other, CoeffVector):
             return NotImplemented
@@ -161,11 +154,6 @@ class CoeffVector:
         cuts = sorted({e for lo, hi, _ in self._runs + other._runs for e in (lo, hi + 1)})
         values = zip(_values_at(self._runs, cuts), _values_at(other._runs, cuts))
         return CoeffVector((a, b - 1, u + w) for a, b, (u, w) in zip(cuts, cuts[1:], values))
-
-    def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        if not isinstance(other, CoeffVector):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffVector):
@@ -195,19 +183,6 @@ def _values_at(runs, points) -> Iterator[Scalar]:
         while k < len(runs) and runs[k][1] < q:
             k += 1
         yield runs[k][2] if k < len(runs) and runs[k][0] <= q else 0
-
-
-def decreasing_rearrangement(x: CoeffVector) -> CoeffVector:
-    """|entries| sorted in decreasing order, placed at indices 1..|supp|."""
-    groups = sorted(
-        ((abs(v), hi - lo + 1) for lo, hi, v in x.runs), key=lambda t: t[0], reverse=True
-    )
-    out = []
-    pos = 1
-    for v, count in groups:
-        out.append((pos, pos + count - 1, v))
-        pos += count
-    return CoeffVector(out)
 
 
 def sup_norm(x: CoeffVector) -> Scalar:
@@ -256,16 +231,6 @@ class BlockSequence:
 # -- JSON forms --------------------------------------------------------------
 
 
-def scalar_to_json(v: Scalar) -> str | float:
-    if isinstance(v, bool):
-        raise InvalidInputError("boolean is not a scalar")
-    if isinstance(v, int):
-        v = Fraction(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
 def scalar_from_json(raw) -> Scalar:
     if isinstance(raw, bool):
         raise InvalidInputError("boolean is not a scalar")
@@ -291,13 +256,6 @@ def ints_from_json(obj, what: str) -> list[int]:
     if not isinstance(obj, list) or not all(type(v) is int for v in obj):
         raise InvalidInputError(f"{what} must be a JSON array of integers")
     return obj
-
-
-def vector_to_json_obj(x: CoeffVector) -> dict:
-    """{"index": "value"} object form; values are "num/den" or floats."""
-    if x.support_size > PAIRS_LIMIT:
-        raise SizeLimitError("vector too large for per-index JSON form")
-    return {str(i): scalar_to_json(v) for i, v in x.items()}
 
 
 def vector_from_json_obj(obj) -> CoeffVector:

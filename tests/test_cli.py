@@ -278,6 +278,17 @@ def test_integers_too_long_to_print_are_a_size_limit(capsys, argv):
     assert f"{sys.get_int_max_str_digits()} digits" in err
 
 
+def test_int_overflow_names_no_float_limit(capsys, monkeypatch):
+    def broken(_):
+        raise OverflowError("Python int too large to convert to C ssize_t")
+
+    monkeypatch.setattr(cli.schreier, "tau1", broken)
+    code, out, err = run_cli(capsys, "tau", "--set", "[1, 2]")
+    assert code == 4
+    assert out == ""
+    assert err == "error (size limit): Python int too large to convert to C ssize_t\n"
+
+
 def test_other_value_errors_stay_internal(capsys, monkeypatch):
     def broken(_):
         raise ValueError("boom")

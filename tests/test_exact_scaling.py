@@ -301,15 +301,30 @@ def test_run_scan_finds_each_first_maximizer():
 
 
 def test_run_scan_answers_large_non_monotone_vectors():
-    up = CoeffVector.from_runs([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
+    up = CoeffVector([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
     assert sl.schreier_norm(up, 1).value_pow == 3001
     assert sl.schreier_norm(up, 2).value_pow == 3003
     n = 2**40
-    x = CoeffVector.from_runs([(1, n // 2, 3), (n // 2 + 1, n // 2 + 7, -10), (n // 2 + 8, n, 2)])
+    x = CoeffVector([(1, n // 2, 3), (n // 2 + 1, n // 2 + 7, -10), (n // 2 + 8, n, 2)])
     for p in (1, 2, 1.5):
         r = sl.schreier_norm(x, p)
         assert r.check(x)
     assert _int_weights(x, 2, "exact") == ([9, 100, 4], 1)
+
+
+def test_run_scan_past_sys_maxsize_points():
+    # one flat run of 2^64 points: the best Schreier set is the last half,
+    # [2^63, 2^64 - 1], of 2^63 points; the run is longer than any range
+    n = 2**64
+    x = CoeffVector([(1, n, 1)])
+    r = sl.schreier_norm(x, 2)
+    assert r.value_pow == 2**63
+    assert r.witness == IntSet.interval(2**63, n - 1)
+    assert r.check(x)
+    assert sl.schreier_norm(x, 1).value_pow == 2**63
+    # the chain norm's bounds do not meet on a flat vector: a typed refusal
+    with pytest.raises(sl.SizeLimitError):
+        sl.baernstein_norm(x, 2)
 
 
 def _assert_scales(norm_of, x, c, p):

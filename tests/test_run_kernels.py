@@ -97,5 +97,5 @@ def test_add_matches_per_index_sum(pair):
         (i, a.get(i, 0) + b.get(i, 0)) for i in sorted(a.keys() | b.keys())
     )
     assert x + y == want
-    assert x - x == CoeffVector.zero()
+    assert x + x.scaled(-1) == CoeffVector.zero()
 

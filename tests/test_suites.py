@@ -100,3 +100,24 @@ def test_pmap_starts_at_most_one_worker_per_cpu_and_task(monkeypatch, jobs, cpus
 def test_a_tally_over_no_checks_fails():
     rec = suites._tally("c", "t", "i", lambda item: iter(()), range(3), 1, "violations")
     assert rec["expected"] == "0 violations in 0" and rec["pass"] is False
+
+
+def test_domination_computes_each_pairs_index_once(monkeypatch):
+    calls = []
+    real = suites.gl.gl_index_truncated
+
+    def counted(m, n, k):
+        calls.append(k)
+        return real(m, n, k)
+
+    monkeypatch.setattr(suites.gl, "gl_index_truncated", counted)
+    (rec,) = suites.suite_domination(0, 1, pairs=4, coeffs_per_combo=2)
+    assert rec["pass"]
+    assert calls == [12] * 4
+
+
+def test_lemma22_chain_past_2_63_points_passes():
+    # the chain of 66 maximal sets from 1 has runs longer than sys.maxsize
+    records = list(suites._lemma22_chain(1, 66))
+    assert len(records) == 7
+    assert all(r["pass"] for r in records), [r["check"] for r in records if not r["pass"]]
