@@ -106,12 +106,6 @@ class IntSet:
             base = top
         return out
 
-    def element_at(self, ordinal: int) -> int:
-        """1-based: the ordinal-th smallest element."""
-        if not 1 <= ordinal <= self._size:
-            raise InvalidInputError(f"ordinal {ordinal} out of range 1..{self._size}")
-        return self._slice(ordinal, ordinal)[0][0]
-
     def first_k(self, k: int) -> "IntSet":
         """The k smallest elements."""
         if k < 0 or k > self._size:
@@ -147,7 +141,7 @@ class IntSet:
         return IntSet(self._ivs + other._ivs)
 
     def issubset(self, other: "IntSet") -> bool:
-        return self.intersection(other)._size == self._size
+        return covers(other._ivs, self._ivs)
 
     def iter_elements(self) -> Iterator[int]:
         for lo, hi in self._ivs:
@@ -174,3 +168,29 @@ def as_intset(value) -> IntSet:
 def successive(a: IntSet, b: IntSet) -> bool:
     """True iff max(a) < min(b); both must be non-empty."""
     return a.max < b.min
+
+
+def covers(cover: Iterable[tuple[int, int]], ivs: Iterable[tuple[int, int]]) -> bool:
+    """True iff the union of the intervals `cover` contains every interval of `ivs`.
+
+    Both are sorted ascending and disjoint; `cover` may hold adjacent
+    intervals (the blocks of a chain), which the walk joins as it goes.  One
+    merge walk that reads `cover` lazily and returns False at the first
+    uncovered point: O(len(ivs) + the cover intervals read).
+    """
+    it = iter(cover)
+    lo = hi = -math.inf  # the joined cover run reached so far
+    for a, b in ivs:
+        while hi < a:
+            nxt = next(it, None)
+            if nxt is None:
+                return False
+            lo, hi = nxt
+        if a < lo:
+            return False
+        while hi < b:
+            nxt = next(it, None)
+            if nxt is None or nxt[0] != hi + 1:
+                return False
+            hi = nxt[1]
+    return True

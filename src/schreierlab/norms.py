@@ -485,8 +485,9 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
         tight = float(upper) - float(lower) <= FLOAT_RTOL * float(upper)
     if not tight:
         raise SizeLimitError(
-            "support too large for the exact chain DP and the two-sided "
-            f"bound is not tight (lower {float(lower):.12g}, upper {float(upper):.12g})"
+            f"support size {x.support_size} exceeds the chain DP limit {DEFAULT_DP_LIMIT} "
+            "and the two-sided bound for non-increasing entries is not tight "
+            f"(lower {float(lower):.12g}, upper {float(upper):.12g})"
         )
     return lower, chain
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, OracleLimitError
-from .intset import EMPTY, IntSet, as_intset, successive
+from .intset import EMPTY, IntSet, as_intset, covers, successive
 
 ORACLE_BOUND_ENV = "SCHREIER_LAB_ORACLE_BOUND"
 DEFAULT_ORACLE_BOUND = 14
@@ -126,6 +126,12 @@ class CoveringCertificate:
         return len(self.chain)
 
     def verify(self) -> bool:
+        """Check the chain, then its coverage of `covered` in O(intervals + blocks).
+
+        The per-block checks run first; once the blocks are successive their
+        intervals, taken in chain order, are sorted and disjoint, so one
+        merge walk (`covers`) checks coverage without building the union.
+        """
         for i, block in enumerate(self.chain):
             if block.is_empty or block.size > block.min:
                 return False
@@ -133,8 +139,9 @@ class CoveringCertificate:
                 return False
             if i < len(self.chain) - 1 and block.size != block.min:
                 return False
-        union = IntSet(iv for block in self.chain for iv in block.intervals)
-        return self.covered.issubset(union)
+        return covers(
+            (iv for block in self.chain for iv in block.intervals), self.covered.intervals
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -152,14 +159,28 @@ def tau1(a) -> tuple[int, CoveringCertificate]:
     be a prefix of what remains; a maximal first prefix dominates because
     tau1 is monotone under spreads.  Optimality is nevertheless contract-
     tested against tau1_oracle rather than trusted.
+
+    One forward cursor (interval index i, least uncovered element x) cuts the
+    blocks, so a call costs O(intervals + blocks) at any element count.
     """
     s = as_positive_intset(a)
     blocks: list[IntSet] = []
-    o, n = 1, s.size
-    while o <= n:
-        k = min(s.element_at(o), n - o + 1)
-        blocks.append(IntSet(s._slice(o, o + k - 1)))
-        o += k
+    ivs, i = s.intervals, 0
+    x, left = (ivs[0][0] if ivs else 0), s.size
+    while left:
+        k = min(x, left)
+        left -= k
+        part = []
+        while k:
+            hi = min(ivs[i][1], x + k - 1)
+            part.append((x, hi))
+            k -= hi - x + 1
+            if hi == ivs[i][1]:
+                i += 1
+                x = ivs[i][0] if i < len(ivs) else 0
+            else:
+                x = hi + 1
+        blocks.append(IntSet(part))
     cert = CoveringCertificate(chain=tuple(blocks), covered=s)
     return len(blocks), cert
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from schreierlab import IntSet, InvalidInputError, SizeLimitError
-from schreierlab.intset import EMPTY, as_intset, successive
+from schreierlab.intset import EMPTY, as_intset, covers, successive
 
 
 def test_from_iterable_compresses_runs():
@@ -25,15 +25,19 @@ def test_empty_set():
         _ = EMPTY.min
 
 
+def _element_at(s, o):
+    return s.select_ordinals(IntSet.interval(o, o)).min
+
+
 def test_membership_and_element_at():
     s = IntSet([(3, 5), (9, 9), (20, 22)])
     assert 4 in s and 9 in s and 22 in s
     assert 6 not in s and 1 not in s
-    assert [s.element_at(i) for i in range(1, s.size + 1)] == [3, 4, 5, 9, 20, 21, 22]
+    assert [_element_at(s, i) for i in range(1, s.size + 1)] == [3, 4, 5, 9, 20, 21, 22]
     with pytest.raises(InvalidInputError):
-        s.element_at(8)
+        _element_at(s, 8)
     with pytest.raises(InvalidInputError):
-        s.element_at(0)
+        _element_at(s, 0)
 
 
 def test_first_and_drop():
@@ -70,7 +74,7 @@ def test_ordinal_ops_match_list_indexing(s, data):
     elems = s.to_list()
     n = len(elems)
     k = data.draw(st.integers(0, n))
-    assert [s.element_at(o) for o in range(1, n + 1)] == elems
+    assert [_element_at(s, o) for o in range(1, n + 1)] == elems
     assert s.first_k(k) == IntSet.from_iterable(elems[:k])
     if k < n:
         assert s.select_ordinals(IntSet.interval(k + 1, n)) == IntSet.from_iterable(elems[k:])
@@ -85,14 +89,14 @@ def test_ordinal_ops_past_2_50_at_both_ends():
     s = IntSet([(3, 5), (lo, lo + 9), (hi - 4, hi)])
     n = s.size
     assert n == 3 + 10 + 5
-    assert s.element_at(1) == 3 and s.element_at(4) == lo and s.element_at(n) == hi
+    assert _element_at(s, 1) == 3 and _element_at(s, 4) == lo and _element_at(s, n) == hi
     assert s.first_k(5) == IntSet([(3, 5), (lo, lo + 1)])
     assert s.select_ordinals(IntSet.interval(13, n)) == IntSet([(lo + 9, lo + 9), (hi - 4, hi)])
     picked = s.select_ordinals(IntSet([(2, 3), (13, 14), (n, n)]))
     assert picked == IntSet([(4, 5), (lo + 9, lo + 9), (hi - 4, hi - 4), (hi, hi)])
     huge = IntSet([(1, 2**51), (2**52, 2**53)])
     m = huge.size
-    assert huge.element_at(2**51 + 1) == 2**52 and huge.element_at(m) == 2**53
+    assert _element_at(huge, 2**51 + 1) == 2**52 and _element_at(huge, m) == 2**53
     assert huge.select_ordinals(IntSet.interval(m - 1, m)) == IntSet.interval(2**53 - 1, 2**53)
     assert huge.select_ordinals(IntSet([(1, 1), (2**51, 2**51 + 1), (m, m)])) == IntSet(
         [(1, 1), (2**51, 2**51), (2**52, 2**52), (2**53, 2**53)]
@@ -106,6 +110,23 @@ def test_set_algebra():
     assert a.union(b) == IntSet([(1, 12)])
     assert IntSet([(4, 5)]).issubset(a)
     assert not b.issubset(a)
+
+
+@given(small_sets, small_sets)
+def test_issubset_matches_element_sets(a, b):
+    assert a.issubset(b) == set(a.to_list()).issubset(b.to_list())
+    assert a.issubset(a.union(b)) and a.intersection(b).issubset(b)
+    assert EMPTY.issubset(a) and (a.issubset(EMPTY) == a.is_empty)
+
+
+def test_covers_joins_adjacent_cover_intervals():
+    # adjacent cover intervals, as successive chain blocks give them
+    assert covers([(1, 3), (4, 6), (7, 7)], [(2, 7)])
+    assert covers([(1, 3), (4, 6)], [(1, 1), (3, 4), (6, 6)])
+    assert not covers([(1, 3), (5, 6)], [(2, 5)])  # 4 is missing
+    assert not covers([(1, 3), (4, 6)], [(2, 7)])  # 7 is past the cover
+    assert not covers([(2, 3)], [(1, 2)])  # 1 is before the cover
+    assert not covers([], [(1, 1)]) and covers([], []) and covers([(1, 2)], [])
 
 
 def test_materialize_guard():

@@ -375,6 +375,16 @@ def test_size_limit_paths():
     assert sl.baernstein_norm(down, 2).value_pow == 14
 
 
+def test_flat_run_past_the_chain_dp_limit_names_the_limit():
+    # non-increasing, so it takes the sandwich, whose bounds do not meet on a
+    # constant run: lower 6617, upper 12961
+    with pytest.raises(sl.SizeLimitError) as err:
+        sl.baernstein_norm(CoeffVector([(1, 161, 1)]), 2)
+    msg = str(err.value)
+    assert "support size 161" in msg and "chain DP limit 160" in msg
+    assert "lower 6617, upper 12961" in msg
+
+
 def test_oracle_norm_respects_bound():
     x = CoeffVector.from_dense([1] * 20)
     with pytest.raises(sl.OracleLimitError):

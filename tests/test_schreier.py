@@ -256,6 +256,88 @@ def test_tau1_huge_interval_set():
     assert cert.verify()
 
 
+def _union_verify(cert):
+    """CoveringCertificate.verify as it was before the coverage walk: the same
+    block checks, then coverage through the union IntSet and an intersection."""
+    for i, block in enumerate(cert.chain):
+        if block.is_empty or block.size > block.min:
+            return False
+        if i and not block.min > cert.chain[i - 1].max:
+            return False
+        if i < len(cert.chain) - 1 and block.size != block.min:
+            return False
+    union = IntSet(iv for block in cert.chain for iv in block.intervals)
+    return cert.covered.intersection(union).size == cert.covered.size
+
+
+def _cert(chain, covered):
+    return sl.CoveringCertificate(
+        tuple(IntSet.from_iterable(b) for b in chain), IntSet.from_iterable(covered)
+    )
+
+
+@pytest.mark.parametrize(
+    "chain, covered",
+    [
+        ([[1], [2, 3], [4, 5, 6, 7]], [1, 2, 3, 4, 5, 6, 7]),  # as tau1 gives it
+        ([[1], [2, 3], [4, 5, 6, 7]], [2, 3, 4, 5, 6, 7]),  # a point left uncovered
+        ([[2, 3], [4, 5, 6, 7]], [3, 4]),  # one interval across two blocks
+        ([[2, 3], [5, 6, 7, 8, 9]], [2, 3, 6, 9]),  # covered points skip the gap
+        ([[1], [2, 3]], []),
+    ],
+)
+def test_certificate_verify_accepts(chain, covered):
+    cert = _cert(chain, covered)
+    assert cert.verify() and _union_verify(cert)
+
+
+@pytest.mark.parametrize(
+    "chain, covered",
+    [
+        ([[1], [4, 5, 6, 7]], [1, 2, 3, 4]),  # the middle block [2, 3] dropped
+        ([[1], [2, 3]], [1, 2, 3, 4]),  # a covered point past the last block
+        ([[2, 3], [5, 6, 7, 8, 9]], [3, 4, 5]),  # a covered point in the gap
+        ([[3, 4, 6]], [3, 5]),  # 5 is inside the block's span but not in it
+        ([[3, 4], [5, 6, 7, 8, 9]], [3, 4, 5]),  # inner block [3, 4] not maximal
+        ([[2, 3], [1]], [1, 2, 3]),  # not successive
+        ([[2, 3], [3]], [2, 3]),  # not successive: they share 3
+        ([[1], [], [2, 3]], [1, 2, 3]),  # an empty block
+        ([[2, 3, 4]], [2, 3, 4]),  # not Schreier
+        ([], [1]),  # an empty chain with points to cover
+    ],
+)
+def test_certificate_verify_rejects(chain, covered):
+    cert = _cert(chain, covered)
+    assert not cert.verify() and not _union_verify(cert)
+
+
+def test_certificate_verify_matches_union_check_on_mutations():
+    rng = random.Random(17)
+    outcomes = []
+    for _ in range(400):
+        s = _random_interval_set(rng, rng.randint(1, 12), rng.choice((60, 400, 2**40)))
+        chain, covered = list(sl.tau1(s)[1].chain), s
+        op = rng.randrange(5)
+        if op == 0:
+            del chain[rng.randrange(len(chain))]
+        elif op == 1:
+            top = s.max + rng.randint(1, 3)
+            covered = s.union(IntSet.interval(rng.randint(s.min, top), top))
+        elif op == 2:  # move the last point of one block to just after it
+            j = rng.randrange(len(chain))
+            b = chain[j]
+            chain[j] = b.first_k(b.size - 1).union(IntSet.interval(b.max + 1, b.max + 1))
+        elif op == 3 and len(chain) > 1:
+            j = rng.randrange(len(chain) - 1)
+            chain[j], chain[j + 1] = chain[j + 1], chain[j]
+        elif op == 4:  # drop covered points, which keeps coverage
+            covered = s.first_k(rng.randint(0, s.size))
+        cert = sl.CoveringCertificate(tuple(chain), covered)
+        outcomes.append(cert.verify())
+        assert outcomes[-1] == _union_verify(cert), (chain, covered)
+    assert 50 < sum(outcomes) < 350  # both outcomes are exercised
+
+
 def _first_k(ivs, k):
     out = []
     for lo, hi in ivs:
