@@ -19,7 +19,7 @@ from .errors import (
 )
 from .glindex import IndexSet
 from .intset import EMPTY, IntSet
-from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
+from .norms import FLOAT_RTOL, SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import SchreierChain, is_maximal_schreier, is_schreier, tau1
 from .vectors import BlockSequence, CoeffVector, sup_norm
 
@@ -225,7 +225,7 @@ class SelectionResult:
 def _check_normalized(blocks: BlockSequence, p, space: str) -> None:
     for i, u in enumerate(blocks, start=1):
         r = norm(u, p, space)
-        ok = r.value_pow == 1 if r.mode == "exact" else abs(r.value - 1.0) <= 1e-9
+        ok = r.value_pow == 1 if r.mode == "exact" else abs(r.value - 1.0) <= FLOAT_RTOL
         if not ok:
             raise InvalidInputError(f"block {i} is not normalized: norm {r.value!r}")
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, TruncationError
 from .intset import IntSet
-from .norms import SPACE_BAERNSTEIN, norm, validate_exponent
+from .norms import FLOAT_RTOL, SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import _tau1_count_sorted, as_positive_intset
 from .vectors import CoeffVector, ints_from_json
 
@@ -233,7 +233,7 @@ def check_domination(
     if rm.mode == "exact" and rn.mode == "exact":
         holds = rn.value_pow <= const_pow * rm.value_pow
     else:
-        holds = rn.value <= const * rm.value * (1.0 + 1e-9)
+        holds = rn.value <= const * rm.value * (1.0 + FLOAT_RTOL)
     return DominationCheck(lhs=rn.value, rhs=const * rm.value, holds=bool(holds))
 
 

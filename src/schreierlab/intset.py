@@ -122,21 +122,6 @@ class IntSet:
             )
         return IntSet(iv for olo, ohi in ordinals._ivs for iv in self._slice(olo, ohi))
 
-    def intersection(self, other: "IntSet") -> "IntSet":
-        out = []
-        i = j = 0
-        a, b = self._ivs, other._ivs
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntSet(out)
-
     def union(self, other: "IntSet") -> "IntSet":
         return IntSet(self._ivs + other._ivs)
 

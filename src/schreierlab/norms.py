@@ -18,19 +18,20 @@ runs of x (_run_scan).  baernstein_norm runs a dynamic program over the
 sorted support up to DEFAULT_DP_LIMIT points, where a block with fixed
 first/last element is filled greedily with the largest intermediate |x|
 values (adding a non-negative term to a block sum never decreases beta_p
-and cannot affect the remainder); its one pass also keeps the first optimal
-last element of each block, and following those gives the least optimal
-chain as the witness (_bp_dp).  Beyond the limit, for non-increasing |x|
-of any size, a two-sided bound that must be tight (_monotone_bp).
+and cannot affect the remainder).  Its one pass keeps only the sum of those
+values, in a bounded min-heap, and the first optimal last element of each
+block; following those gives the least optimal chain as the witness
+(_bp_dp).  Beyond the limit, for non-increasing |x| of any size, a
+two-sided bound that must be tight (_monotone_bp).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappush, heapreplace
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
@@ -417,7 +418,9 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     are the top min(pos[i]-2, t-i-1) points by (value descending, position
     ascending), so B(t')'s body before t lies inside B(t)'s (B(t) takes every
     point there, or both take pos[i]-2).  So B(t) is a prefix of B(t'), or
-    the least point where they differ is B(t)'s alone.
+    the least point where they differ is B(t)'s alone.  The forward pass
+    keeps only each body's sum (a min-heap of its values); the witness walk
+    ranks each block's body on its own.
     """
     powfn = _powfn(p, mode)
     pairs = x.pairs()
@@ -430,22 +433,17 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     for i in range(n - 1, -1, -1):
         best = powfn(val[i]) + W[i + 1]  # the block {pos[i]}
         budget = pos[i] - 2  # points between the ends; none when pos[i] is 1
-        inter: list[tuple] = []  # (-value, position) of the points i+1..t-1, sorted
-        k = 0
-        topsum: Pow = 0  # the sum of the k = min(budget, t-i-1) largest values in inter
+        top: list[Pow] = []  # min-heap of the budget largest values of i+1..t-1
+        topsum: Pow = 0  # their sum
         for t in range(i + 1, n) if budget >= 0 else ():
-            if t > i + 1:
-                item = (-val[t - 1], pos[t - 1])
-                idx = bisect_left(inter, item)
-                inter.insert(idx, item)
-                if idx < k:  # displaced the current k-th element
-                    topsum = topsum + val[t - 1] - (-inter[k][0])
-                if k < budget and len(inter) > k:
-                    topsum = topsum + (-inter[k][0])
-                    k += 1
             cand = powfn(val[i] + topsum + val[t]) + W[t + 1]
             if cand > best:
                 best, last[i] = cand, t
+            if len(top) < budget:
+                heappush(top, val[t])
+                topsum = topsum + val[t]
+            elif top and val[t] > top[0]:
+                topsum = topsum + val[t] - heapreplace(top, val[t])
         W[i] = best
 
     blocks, i = [], 0

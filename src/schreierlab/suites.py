@@ -299,7 +299,7 @@ def _lemma22_chain(s: int, m: int):
     xf = cons.flat_vector(chain, 1.5, "sp")
     rf = norms.schreier_norm(xf, 1.5)
     lo, hi = 1.0, 2.0 ** (1 / 1.5)
-    ok = lo * (1 - 1e-9) <= rf.value <= hi * (1 + 1e-9) and rf.check(xf)
+    ok = lo * (1 - norms.FLOAT_RTOL) <= rf.value <= hi * (1 + norms.FLOAT_RTOL) and rf.check(xf)
     yield record(f"sp-float-s{s}-m{m}-p1.5", _SP_TAG, _digest("lemma22-spf", s, m),
                  f"value in [{lo}, {hi}]", rf.value, ok)
     xb = cons.flat_vector(chain, 2, "bp")
@@ -310,7 +310,7 @@ def _lemma22_chain(s: int, m: int):
                      f"pow in [{m}, {2**p * m}]", rb.value_pow, ok)
     rbf = norms.baernstein_norm(CoeffVector((a, b, float(v)) for a, b, v in xb.runs), 1.5)
     lo, hi = float(m) ** (1 / 1.5), 2 * float(m) ** (1 / 1.5)
-    ok = lo * (1 - 1e-9) <= rbf.value <= hi * (1 + 1e-9)
+    ok = lo * (1 - norms.FLOAT_RTOL) <= rbf.value <= hi * (1 + norms.FLOAT_RTOL)
     yield record(f"bp-float-s{s}-m{m}-p1.5", _BP_TAG, _digest("lemma22-bpf", s, m),
                  f"value in [{lo:.6f}, {hi:.6f}]", rbf.value, ok)
 
@@ -335,7 +335,7 @@ def _jameson_upper(p, kp, seed, max_support, window, i):
     sup = float(sup_norm(x))
     s1 = norms.schreier_norm(x, 1, mode="float").value
     bound = kp * sup ** (p - 1.0) * s1
-    yield None if lp_pow <= bound * (1 + 1e-9) else f"i={i} lp^p={lp_pow} bound={bound}"
+    yield None if lp_pow <= bound * (1 + norms.FLOAT_RTOL) else f"i={i} lp^p={lp_pow} bound={bound}"
 
 
 def suite_jameson(seed: int, jobs: int, *, upper_count=10_000, p_list=(1.5, 2.0, 3.0),
