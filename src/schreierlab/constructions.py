@@ -150,11 +150,20 @@ def divergence_witness(part: MPBPartition, m_idx: IndexSet, n_idx: IndexSet, m: 
     if n_idx.contains(m):
         raise InvalidInputError(f"{m} must lie in M\\N but belongs to N ({n_idx.rule})")
 
-    l_m = l_set(part, m_idx, part.n_max)
-    l_n = l_set(part, n_idx, part.n_max)
+    return _certified_witness(
+        part, m_idx, l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max), m
+    )
 
+
+def _certified_witness(
+    part: MPBPartition, m_idx: IndexSet, l_m: IndexSet, l_n: IndexSet, m: int
+) -> IntSet:
+    """divergence_witness after its membership checks, given L_M and L_N
+    built through part.n_max."""
     # ordinal offset of J_m inside L_M
-    offset = sum(part.j(n).size for n in takewhile(lambda n: n < m, m_idx.elements()))
+    offset = sum(
+        part.f(n).size + part.g(n).size for n in takewhile(lambda n: n < m, m_idx.elements())
+    )
     f_size = part.f(m).size
     g_size = part.g(m).size
     witness = IntSet.interval(offset + f_size + 1, offset + f_size + g_size)
@@ -181,16 +190,17 @@ def divergence_certificates(
 
     Certifies that the truncated index of (L_M, L_N) is at least the largest
     such m; with M\\N infinite the certified bound grows with the window.
+    L_M and L_N are built once for all the witnesses.
     """
     if window > part.n_max:
         raise TruncationError(
             f"partition materialized through {part.n_max}, window {window}"
         )
-    out: list[tuple[int, IntSet]] = []
-    for m in range(2, window + 1):
-        if m_idx.contains(m) and not n_idx.contains(m):
-            out.append((m, divergence_witness(part, m_idx, n_idx, m)))
-    return out
+    ms = [m for m in range(2, window + 1) if m_idx.contains(m) and not n_idx.contains(m)]
+    if not ms:
+        return []
+    l_m, l_n = l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max)
+    return [(m, _certified_witness(part, m_idx, l_m, l_n, m)) for m in ms]
 
 
 # -- extremal family for the three-norm inequality -----------------------------

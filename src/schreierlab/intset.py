@@ -1,15 +1,17 @@
 """Finite integer sets stored as sorted, disjoint closed intervals.
 
 Chains of maximal Schreier sets double in size, so the covering
-constructions routinely produce sets with 2^50 and more elements.  All
-operations here cost O(#intervals), never O(#elements); nothing below
-materializes elements unless explicitly asked to.
+constructions routinely produce sets with 2^50 and more elements.  Nothing
+here costs O(#elements) or materializes elements unless explicitly asked to:
+building and comparing sets cost O(#intervals), and ordinal access bisects the
+cumulative interval sizes, which a set computes on its first ordinal query.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, SizeLimitError
@@ -19,7 +21,7 @@ MATERIALIZE_LIMIT = 200_000
 
 
 class IntSet:
-    __slots__ = ("_ivs", "_size")
+    __slots__ = ("_ivs", "_size", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
         merged: list[list[int]] = []
@@ -35,6 +37,15 @@ class IntSet:
                 merged.append([lo, hi])
         self._ivs: tuple[tuple[int, int], ...] = tuple((a, b) for a, b in merged)
         self._size = sum(b - a + 1 for a, b in self._ivs)
+        self._ends: list[int] | None = None
+
+    @classmethod
+    def _of(cls, ivs: tuple[tuple[int, int], ...], size: int) -> "IntSet":
+        """Trusted constructor for intervals that are already sorted, disjoint
+        and non-adjacent, with `size` their total length: `_slice` output."""
+        s = cls.__new__(cls)
+        s._ivs, s._size, s._ends = ivs, size, None
+        return s
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int]) -> "IntSet":
@@ -87,40 +98,53 @@ class IntSet:
             return f"IntSet({self.to_list()})"
         return f"IntSet(<{self._size} elements in {len(self._ivs)} intervals>)"
 
-    def _slice(self, o1: int, o2: int) -> list[tuple[int, int]]:
+    def _ordinal_ends(self) -> list[int]:
+        """Ordinal of each interval's last element, computed once per set."""
+        if self._ends is None:
+            self._ends = list(accumulate(hi - lo + 1 for lo, hi in self._ivs))
+        return self._ends
+
+    def _at(self, o: int) -> int:
+        """The o-th smallest element (1-based); the caller checks 1 <= o <= size."""
+        ends = self._ordinal_ends()
+        i = bisect_left(ends, o)
+        return self._ivs[i][1] - (ends[i] - o)
+
+    def _slice(self, o1: int, o2: int) -> tuple[tuple[int, int], ...]:
         """Intervals holding the o1-th through o2-th smallest elements (1-based).
 
-        One walk over the intervals; the caller checks 1 <= o1 and o2 <= size,
-        and o1 > o2 gives no intervals.
+        Two bisections and one tuple slice with its end intervals trimmed; the
+        caller checks 1 <= o1 <= o2 <= size.
         """
-        out = []
-        base = 0  # ordinals before the current interval
-        for lo, hi in self._ivs:
-            top = base + hi - lo + 1  # ordinal of hi
-            if top >= o1:
-                if base >= o2:
-                    break
-                a, b = max(o1, base + 1), min(o2, top)
-                if a <= b:
-                    out.append((lo + a - base - 1, lo + b - base - 1))
-            base = top
-        return out
+        ends = self._ordinal_ends()
+        i, j = bisect_left(ends, o1), bisect_left(ends, o2)
+        ivs = self._ivs
+        first = ivs[i][1] - (ends[i] - o1)
+        last = ivs[j][1] - (ends[j] - o2)
+        if i == j:
+            return ((first, last),)
+        return ((first, ivs[i][1]), *ivs[i + 1 : j], (ivs[j][0], last))
 
     def first_k(self, k: int) -> "IntSet":
         """The k smallest elements."""
         if k < 0 or k > self._size:
             raise InvalidInputError(f"cannot take first {k} of {self._size} elements")
-        return IntSet(self._slice(1, k))
+        return IntSet._of(self._slice(1, k), k) if k else EMPTY
 
     def select_ordinals(self, ordinals: "IntSet") -> "IntSet":
-        """Subset at the given 1-based ordinal positions."""
+        """Subset at the given 1-based ordinal positions.
+
+        Ordinal intervals with a gap between them select value intervals with
+        a gap between them, so the slices join into a normalized set as they are.
+        """
         if ordinals.is_empty:
             return EMPTY
         if ordinals.min < 1 or ordinals.max > self._size:
             raise InvalidInputError(
                 f"ordinals {ordinals.min}..{ordinals.max} out of range 1..{self._size}"
             )
-        return IntSet(iv for olo, ohi in ordinals._ivs for iv in self._slice(olo, ohi))
+        ivs = tuple(iv for olo, ohi in ordinals._ivs for iv in self._slice(olo, ohi))
+        return IntSet._of(ivs, ordinals._size)
 
     def union(self, other: "IntSet") -> "IntSet":
         return IntSet(self._ivs + other._ivs)

@@ -160,27 +160,17 @@ def tau1(a) -> tuple[int, CoveringCertificate]:
     tau1 is monotone under spreads.  Optimality is nevertheless contract-
     tested against tau1_oracle rather than trusted.
 
-    One forward cursor (interval index i, least uncovered element x) cuts the
-    blocks, so a call costs O(intervals + blocks) at any element count.
+    Each block costs three bisections of the set's cumulative interval sizes
+    and one slice of its intervals, so a call costs O(blocks * log intervals
+    + intervals) at any element count.
     """
     s = as_positive_intset(a)
     blocks: list[IntSet] = []
-    ivs, i = s.intervals, 0
-    x, left = (ivs[0][0] if ivs else 0), s.size
-    while left:
-        k = min(x, left)
-        left -= k
-        part = []
-        while k:
-            hi = min(ivs[i][1], x + k - 1)
-            part.append((x, hi))
-            k -= hi - x + 1
-            if hi == ivs[i][1]:
-                i += 1
-                x = ivs[i][0] if i < len(ivs) else 0
-            else:
-                x = hi + 1
-        blocks.append(IntSet(part))
+    n, o = s.size, 1  # o: ordinal of the least uncovered element
+    while o <= n:
+        k = min(s._at(o), n - o + 1)
+        blocks.append(IntSet._of(s._slice(o, o + k - 1), k))
+        o += k
     cert = CoveringCertificate(chain=tuple(blocks), covered=s)
     return len(blocks), cert
 

@@ -130,6 +130,19 @@ def test_l_set_respects_membership():
     assert evens.select(IntSet.interval(1, expect.size)) == expect
 
 
+def test_l_set_select_matches_element_selection():
+    rng = random.Random(13)
+    for _ in range(40):
+        part = sl.mpb_partition(5)
+        n_idx = IndexSet.explicit(sorted(rng.sample(range(1, 6), rng.randint(1, 5))))
+        l_n = sl.l_set(part, n_idx, rng.randint(1, 5))
+        top = min(l_n.materialized_limit, 3000)
+        if not top:
+            continue
+        js = IntSet.from_iterable(rng.sample(range(1, top + 1), rng.randint(1, min(top, 60))))
+        assert l_n.select(js) == IntSet.from_iterable(l_n.element(j) for j in js.iter_elements())
+
+
 # -- divergence witnesses -----------------------------------------------------------
 
 
@@ -175,6 +188,31 @@ def test_divergence_certificates():
     # the certified lower bound grows with the window
     more = sl.divergence_certificates(part, all_n, evens, 8)
     assert [m for m, _ in more] == [3, 5, 7]
+
+
+def test_divergence_certificates_match_divergence_witness():
+    rng = random.Random(29)
+    truncated = certified = 0
+    for _ in range(80):
+        n_max = rng.randint(3, 9)
+        part = sl.mpb_partition(n_max)
+        m_idx = IndexSet.explicit(sorted(rng.sample(range(1, n_max + 1), rng.randint(1, n_max))))
+        n_idx = IndexSet.explicit(
+            sorted(rng.sample(range(1, n_max + 3), rng.randint(1, n_max + 2)))
+        )
+        window = rng.randint(2, n_max)
+        expected = [m for m in range(2, window + 1)
+                    if m_idx.contains(m) and not n_idx.contains(m)]
+        try:
+            want = [(m, sl.divergence_witness(part, m_idx, n_idx, m)) for m in expected]
+        except sl.TruncationError:  # L_N too thin for some witness
+            with pytest.raises(sl.TruncationError):
+                sl.divergence_certificates(part, m_idx, n_idx, window)
+            truncated += 1
+            continue
+        assert sl.divergence_certificates(part, m_idx, n_idx, window) == want
+        certified += len(want)
+    assert truncated and certified > 20
 
 
 # -- extremal family -----------------------------------------------------------------

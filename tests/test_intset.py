@@ -69,19 +69,72 @@ small_sets = st.lists(
 ).map(lambda ivs: IntSet((lo, lo + w) for lo, w in ivs))
 
 
-@given(small_sets, st.data())
-def test_ordinal_ops_match_list_indexing(s, data):
+def _assert_normalized(r, size):
+    # the invariant the trusted constructor relies on: re-normalizing changes nothing
+    assert IntSet(r.intervals) == r and IntSet(r.intervals).size == r.size == size
+
+
+@given(small_sets, st.sampled_from([0, 2**63 - 30, 2**64]), st.data())
+def test_ordinal_ops_match_list_indexing(s, shift, data):
+    s = IntSet((lo + shift, hi + shift) for lo, hi in s.intervals)
     elems = s.to_list()
     n = len(elems)
     k = data.draw(st.integers(0, n))
+    assert [s._at(o) for o in range(1, n + 1)] == elems
     assert [_element_at(s, o) for o in range(1, n + 1)] == elems
+    o1 = data.draw(st.integers(1, n))
+    o2 = data.draw(st.integers(o1, n))
+    piece = s._slice(o1, o2)
+    assert IntSet(piece).intervals == piece and IntSet(piece).to_list() == elems[o1 - 1 : o2]
     assert s.first_k(k) == IntSet.from_iterable(elems[:k])
+    _assert_normalized(s.first_k(k), k)
     if k < n:
         assert s.select_ordinals(IntSet.interval(k + 1, n)) == IntSet.from_iterable(elems[k:])
-    ords = data.draw(st.sets(st.integers(1, n)))
-    assert s.select_ordinals(IntSet.from_iterable(ords)) == IntSet.from_iterable(
-        elems[o - 1] for o in ords
-    )
+    ords = IntSet.from_iterable(data.draw(st.sets(st.integers(1, n))))
+    picked = s.select_ordinals(ords)
+    assert picked == IntSet.from_iterable(elems[o - 1] for o in ords.iter_elements())
+    _assert_normalized(picked, ords.size)
+
+
+def _walk_at(ivs, o):
+    """The o-th element (1-based), walking from the first interval."""
+    for lo, hi in ivs:
+        if o <= hi - lo + 1:
+            return lo + o - 1
+        o -= hi - lo + 1
+    raise IndexError(o)
+
+
+def _laid_out(gaps_and_widths):
+    ivs, hi = [], 0
+    for gap, width in gaps_and_widths:
+        lo = hi + gap
+        hi = lo + width
+        ivs.append((lo, hi))
+    return IntSet(ivs)
+
+
+# sizes and elements both reach far past 2^63
+far_sets = st.lists(
+    st.tuples(st.integers(1, 2**64), st.integers(0, 2**64)), min_size=1, max_size=6
+).map(_laid_out)
+
+
+@given(far_sets, st.data())
+def test_ordinal_ops_past_2_63_points(s, data):
+    n = s.size
+    ords = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6).map(sorted))
+    ends = [_walk_at(s.intervals, o) for o in ords]
+    assert [s._at(o) for o in ords] == ends
+    o1, o2 = ords[0], ords[-1]
+    piece = IntSet._of(s._slice(o1, o2), o2 - o1 + 1)
+    _assert_normalized(piece, o2 - o1 + 1)
+    assert piece.min == ends[0] and piece.max == ends[-1] and piece.issubset(s)
+    assert s.first_k(o1) == s.select_ordinals(IntSet.interval(1, o1))
+    _assert_normalized(s.first_k(o1), o1)
+    picked = s.select_ordinals(IntSet.from_iterable(ords))
+    assert picked == IntSet.from_iterable(ends)
+    _assert_normalized(picked, len(set(ords)))
 
 
 def test_ordinal_ops_past_2_50_at_both_ends():

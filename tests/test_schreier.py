@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import chain, combinations
 
@@ -391,6 +392,56 @@ def test_tau1_blocks_match_reference_greedy(intervals, top):
         count, cert = sl.tau1(s)
         assert list(cert.chain) == _reference_tau1_blocks(s)
         assert count == len(cert.chain)
+
+
+def reference_cursor_tau1(s):
+    """tau1's blocks as the forward cursor cut them before ordinal bisection:
+    one pass over the intervals with (interval index i, least uncovered x)."""
+    blocks = []
+    ivs, i = s.intervals, 0
+    x, left = (ivs[0][0] if ivs else 0), s.size
+    while left:
+        k = min(x, left)
+        left -= k
+        part = []
+        while k:
+            hi = min(ivs[i][1], x + k - 1)
+            part.append((x, hi))
+            k -= hi - x + 1
+            if hi == ivs[i][1]:
+                i += 1
+                x = ivs[i][0] if i < len(ivs) else 0
+            else:
+                x = hi + 1
+        blocks.append(IntSet(part))
+    return blocks
+
+
+def _random_far_set(rng, intervals, top):
+    """`intervals` intervals with log-uniform endpoints below `top`."""
+    points = set()
+    while len(points) < 2 * intervals:
+        points.add(int(math.exp(rng.uniform(0.0, math.log(top)))))
+    ends = sorted(points)
+    return IntSet(zip(ends[::2], ends[1::2]))
+
+
+@pytest.mark.parametrize("intervals", [1, 10, 300, 5000])
+def test_tau1_blocks_match_the_cursor_tau1(intervals):
+    rng = random.Random(intervals)
+    for _ in range(40 if intervals < 5000 else 3):
+        s = _random_far_set(rng, intervals, rng.choice((2**20, 2**52, 2**70)))
+        count, cert = sl.tau1(s)
+        assert list(cert.chain) == reference_cursor_tau1(s)
+        assert count == len(cert.chain) and cert.verify()
+        assert [b.size for b in cert.chain] == [IntSet(b.intervals).size for b in cert.chain]
+
+
+def test_tau1_past_2_64_points():
+    count, cert = sl.tau1(IntSet.interval(1, 2**64))
+    assert count == 65 and cert.verify()
+    assert cert.chain[-2] == IntSet.interval(2**63, 2**64 - 1)
+    assert cert.chain[-1] == IntSet.interval(2**64, 2**64)
 
 
 def test_tau1_count_sorted_fast_path():
