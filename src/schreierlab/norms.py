@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heapreplace
@@ -142,13 +143,21 @@ def _on_ints(engine, x: CoeffVector, p, mode: str):
 def _overlaps(x: CoeffVector, s: IntSet) -> Iterator[tuple[int, Scalar]]:
     """(|run & s|, value) for each run of x that meets s, in run order.
 
-    One two-pointer pass over the runs and the intervals of s; an interval
-    that spans several runs is visited once per run it meets.
+    One two-pointer pass over the intervals of s and the runs from the first
+    one ending at or after min s (found by bisection) to the last one
+    starting at or before max s; an interval that spans several runs is
+    visited once per run it meets.
     """
     ivs = s.intervals
+    if not ivs:
+        return
+    runs, end = x.runs, ivs[-1][1]
     j = 0
-    for lo, hi, v in x.runs:
-        while j < len(ivs) and ivs[j][1] < lo:
+    for r in range(bisect_left(runs, ivs[0][0], key=lambda run: run[1]), len(runs)):
+        lo, hi, v = runs[r]
+        if lo > end:
+            return
+        while ivs[j][1] < lo:  # stops: lo <= end
             j += 1
         ov = 0
         k = j
@@ -290,9 +299,16 @@ def _int_weights(x: CoeffVector, p, mode: str) -> tuple[list[int], int]:
     return [n * (divisor // d) for n, d in ratios], divisor
 
 
+def _run_candidates(lo: int, hi: int, heavier: int, half: int) -> list[int]:
+    """The points of [lo, hi] among which _run_scan's lemma puts the run's
+    first maximizer, ascending; heavier and half are A and C there."""
+    cands = (heavier + 1, (hi + half + 1) // 2, (hi + half + 2) // 2)
+    return sorted({min(hi, max(lo, c)) for c in cands})
+
+
 def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:
     """Largest weight sum over the Schreier sets in the support, and the first
-    set attaining it; O(R log L log R) for R runs of length at most L.
+    set attaining it; O(R log R) for R runs of any lengths.
 
     The best set with minimum q adds the q - 1 heaviest points beyond q,
     ranked by (weight descending, position ascending).  The runs are walked
@@ -305,27 +321,57 @@ def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:
 
         f(q) = (j + 1) w + g_1 + ... + g_{k-j},  j = min(hi - q, max(0, k - A)).
 
-    Claim: D(q) = f(q + 1) - f(q) never increases along the run, so the
-    run's first maximizer is the first q with D(q) <= 0 (or hi), found by
-    binary search.  Each step adds a pick and leaves one copy fewer beyond q:
-    (a) while k + 1 <= A, j stays 0 and D = g_{k+1} > w, non-increasing;
+    Claim: D(q) = f(q + 1) - f(q) never increases in q < hi (the formula
+    does not depend on lo), so the run's first maximizer is
+    min(hi, max(lo, q*)) for the first q* < hi with D(q*) <= 0, or hi if
+    there is none.  Each step adds a pick and leaves one copy fewer beyond q:
+    (a) while q <= A, j stays 0 and D = g_q > w, non-increasing;
     (b) while a copy of w stays unpicked, j grows by one and D = w;
-    (c) the step into the last phase keeps j, with D = g_{A+1}, or drops
-        it; from then on every copy is picked, j = hi - q, and
-        D = g_{k-j+1} + g_{k-j+2} - w <= g_{k-j+1}, two ranks further down
-        the sorted g at each step.  Here k - j >= A, so every g is <= w.
-    So D is above w, then w, then at most w and non-increasing.  Zero
-    weights (a float power that underflows, as (1e-300)^2 does) are
-    ordinary: with w = 0, phases (b) and (c) give D = 0.  Across runs the
-    earlier run wins ties.  The witness is q..q+j plus k - j later points,
-    taken greedily as intervals from the later runs in (weight descending,
-    start ascending) order, which is the rank order.
+    (c) the step into the last phase keeps j, with D = g_{A+1} (at
+        2q = hi + A), or drops it; from then on every copy is picked,
+        j = hi - q, and D = g_r + g_{r+1} - w with r = 2q - hi >= A + 1,
+        two ranks further down the sorted g at each step.  Every such g is
+        <= w.
+    So D is above w, then w, then at most w and non-increasing.
+
+    Lemma: the first maximizer is min(hi, max(lo, c)) for c one of A + 1,
+    ceil((hi + C) / 2) and ceil((hi + C + 1) / 2), where C >= A is the
+    number of later points heavier than floor(w / 2).  So it is the first
+    point of _run_candidates that reaches the largest f there, and a run
+    costs O(log R) whatever its length.  Proof: it suffices that q* is one
+    of the three, or that q* = hi <= c for one of them, so below a point at
+    or past hi stands for q* = hi.  If w = 0, then
+    D > 0 in (a) and D = 0 after it (each g_i with i > A is 0), so c = A + 1.
+    If w > 0, then D > 0 in (a) and (b).  The weights are ints, so
+    g_r + g_{r+1} <= w when r >= C + 1 (both are at most floor(w / 2)) and
+    g_r + g_{r+1} > w when r <= C - 1 (both exceed it).  If C > A, the step
+    into (c) has D = g_{A+1} > floor(w / 2) >= 0, and in (c) the first
+    r = 2q - hi with D <= 0 is C or C + 1: at the first q with 2q - hi >= C,
+    which is ceil((hi + C) / 2), or at the next.  If C = A, the step into
+    (c), when it exists, is q = (hi + A) / 2 = ceil((hi + C) / 2), and the
+    next q, ceil((hi + C + 1) / 2), is the first of (c), with r = C + 2 and
+    so D <= 0; without that step the first of (c) is ceil((hi + C) / 2),
+    with r = C + 1.
+
+    Zero weights (a float power that underflows, as (1e-300)^2 does) are
+    ordinary.  Across runs the earlier run wins ties.  The witness is
+    q..q+j plus k - j later points, taken greedily as intervals from the
+    later runs in (weight descending, start ascending) order, which is the
+    rank order.
     """
     order = sorted(set(weights), reverse=True)  # Fenwick index i is order[i - 1]
     index = {w: i for i, w in enumerate(order, 1)}
+    negated = [-w for w in order]  # ascending, for bisect_left
     size = len(order)
     cnt, tot = [0] * (size + 1), [0] * (size + 1)
     later = later_sum = 0
+
+    def count(i: int) -> int:  # the later points at Fenwick indices 1..i
+        c = 0
+        while i:
+            c += cnt[i]
+            i &= i - 1
+        return c
 
     def top(t: int) -> int:  # the sum of the t largest later weights
         if t >= later:
@@ -350,18 +396,17 @@ def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:
         if lo == hi:  # j = 0 whatever A is
             a, value, j = lo, w + (later_sum if lo > later else top(lo - 1)), 0
         else:
-            heavier, k = 0, i - 1
-            while k:
-                heavier += cnt[k]
-                k &= k - 1
-            a, b = lo, hi  # the first q in [lo, hi) where f stops rising, else hi
-            while a < b:  # by hand: bisect over a range fails past sys.maxsize points
-                q = (a + b) // 2
-                if f(q + 1, hi, w, heavier)[0] <= f(q, hi, w, heavier)[0]:
-                    b = q
-                else:
-                    a = q + 1
-            value, j = f(a, hi, w, heavier)
+            heavier = count(i - 1)
+            if hi - lo < 3:  # every point: no more evaluations, and no C to count
+                cands = range(lo, hi + 1)
+            else:
+                half = count(bisect_left(negated, -(w // 2)))
+                cands = _run_candidates(lo, hi, heavier, half)
+            value = -1
+            for q in cands:
+                fq, jq = f(q, hi, w, heavier)
+                if fq > value:
+                    value, a, j = fq, q, jq
         if value >= best:
             best, best_at = value, (r, a, j)
         n = hi - lo + 1

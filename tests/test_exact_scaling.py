@@ -2,8 +2,9 @@
 
 The exact engines run on x*L as ints (L the lcm of the denominators) and the
 Schreier engine scans runs over a Fenwick tree with exact sums in both
-modes.  These tests hold them to a copy of the per-candidate-sort scan and
-of the chain DP that rebuilt its witness in a second pass, to the
+modes.  These tests hold them to a copy of the per-candidate-sort scan, of
+the run scan that bisected inside each run and of the chain DP that rebuilt
+its witness in a second pass, to the
 exhaustive oracle, to scaling invariance on every engine path, and to float
 values pinned bit for bit.
 """
@@ -18,7 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import schreierlab as sl
 from schreierlab import CoeffVector, IntSet, SchreierChain
-from schreierlab.norms import DEFAULT_DP_LIMIT, _bp_dp, _int_weights, _powfn, _run_scan
+from schreierlab.norms import (
+    DEFAULT_DP_LIMIT,
+    _bp_dp,
+    _int_weights,
+    _powfn,
+    _run_candidates,
+    _run_scan,
+)
 
 DENOMS = (1, 2, 3, 5, 7, 11, 13)
 KINDS = ("int", "frac", "float", "mixed")
@@ -105,6 +113,71 @@ def reference_bp_dp(x, p, mode):
         return memo[i]
 
     return W[0], SchreierChain(IntSet.from_iterable(b) for b in chain_from(0))
+
+
+def reference_bisect_run_scan(runs, weights):
+    """The run scan that bisects over each run's length for the first q where
+    f stops rising: about 2 log2 L evaluations of f per run of length L."""
+    order = sorted(set(weights), reverse=True)  # Fenwick index i is order[i - 1]
+    index = {w: i for i, w in enumerate(order, 1)}
+    size = len(order)
+    cnt, tot = [0] * (size + 1), [0] * (size + 1)
+    later = later_sum = 0
+
+    def top(t: int) -> int:  # the sum of the t largest later weights
+        if t >= later:
+            return later_sum
+        i = c = s = 0
+        bit = 1 << (size.bit_length() - 1)
+        while bit:
+            if i + bit <= size and c + cnt[i + bit] <= t:
+                i += bit
+                c, s = c + cnt[i], s + tot[i]
+            bit >>= 1
+        return s + (t - c) * order[i]
+
+    def f(q: int, hi: int, w: int, heavier: int) -> tuple[int, int]:  # f(q) and j
+        j = min(hi - q, max(0, q - 1 - heavier))
+        return (j + 1) * w + top(q - 1 - j), j
+
+    best, best_at = -1, None  # -1 is below every sum
+    for r in range(len(runs) - 1, -1, -1):
+        (lo, hi, _), w = runs[r], weights[r]
+        i = index[w]
+        if lo == hi:  # j = 0 whatever A is
+            a, value, j = lo, w + (later_sum if lo > later else top(lo - 1)), 0
+        else:
+            heavier, k = 0, i - 1
+            while k:
+                heavier += cnt[k]
+                k &= k - 1
+            a, b = lo, hi  # the first q in [lo, hi) where f stops rising, else hi
+            while a < b:  # by hand: bisect over a range fails past sys.maxsize points
+                q = (a + b) // 2
+                if f(q + 1, hi, w, heavier)[0] <= f(q, hi, w, heavier)[0]:
+                    b = q
+                else:
+                    a = q + 1
+            value, j = f(a, hi, w, heavier)
+        if value >= best:
+            best, best_at = value, (r, a, j)
+        n = hi - lo + 1
+        nw = n * w
+        later, later_sum = later + n, later_sum + nw
+        while i <= size:
+            cnt[i] += n
+            tot[i] += nw
+            i += i & -i
+
+    r, q, j = best_at
+    picks, ivs = q - 1 - j, [(q, q + j)]
+    later_runs = zip(runs[r + 1 :], weights[r + 1 :])
+    for _, lo, hi in sorted((-w, lo, hi) for (lo, hi, _), w in later_runs):
+        if picks <= 0:
+            break
+        ivs.append((lo, lo + min(picks, hi - lo + 1) - 1))
+        picks -= hi - lo + 1
+    return best, IntSet(ivs)
 
 
 def scalars(kind):
@@ -318,6 +391,44 @@ def test_run_scan_finds_each_first_maximizer():
             assert all(d <= 0 for d in steps[first:])
 
 
+def _seeded_runs(rng):
+    """One to eight runs of lengths up to 2^70, with weights from a small set
+    that holds 0 (so ties and zero weights occur), adjacent or with gaps."""
+    weights = [rng.choice((0, 1, 2, 3, 5, 8, 13)) for _ in range(rng.randint(1, 4))]
+    runs, lo = [], rng.randint(1, 2 ** rng.choice((2, 6, 40, 70)))
+    for _ in range(rng.randint(1, 8)):
+        length = rng.randint(1, 2 ** rng.choice((1, 3, 8, 30, 64, 70)))
+        runs.append((lo, lo + length - 1, rng.choice(weights)))
+        lo += length + rng.choice((0, 0, 1, 7, 2 ** rng.randint(1, 70)))
+    return runs
+
+
+def test_run_scan_matches_the_bisection_scan():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        runs = _seeded_runs(rng)
+        weights = [w for _, _, w in runs]
+        assert _run_scan(runs, weights) == reference_bisect_run_scan(runs, weights), runs
+
+
+def test_first_maximizer_is_a_run_candidate():
+    """Brute force over every q of short runs: f(q) is w plus the q - 1
+    heaviest of the hi - q later copies of w and the later weights."""
+    rng = random.Random(31)
+    for _ in range(4000):
+        lo = rng.randint(1, 15)
+        hi = lo + rng.randint(1, 30)
+        top = rng.choice((1, 3, 9, 40))
+        w = rng.randint(0, top)
+        later = sorted((rng.randint(0, top) for _ in range(rng.randint(0, 40))), reverse=True)
+        values = [w + sum(sorted([w] * (hi - q) + later, reverse=True)[: q - 1])
+                  for q in range(lo, hi + 1)]
+        first = lo + values.index(max(values))
+        heavier = sum(g > w for g in later)
+        half = sum(g > w // 2 for g in later)
+        assert first in _run_candidates(lo, hi, heavier, half), (lo, hi, w, later)
+
+
 def test_run_scan_answers_large_non_monotone_vectors():
     up = CoeffVector([(1, 4000, 1), (4001, 4001, 2), (4002, 6000, 1)])
     assert sl.schreier_norm(up, 1).value_pow == 3001
@@ -340,6 +451,9 @@ def test_run_scan_past_sys_maxsize_points():
     assert r.witness == IntSet.interval(2**63, n - 1)
     assert r.check(x)
     assert sl.schreier_norm(x, 1).value_pow == 2**63
+    for p in (1, 2):
+        weights, _ = _int_weights(x, p, "exact")
+        assert _run_scan(x.runs, weights) == reference_bisect_run_scan(x.runs, weights)
     # the chain norm's bounds do not meet on a flat vector: a typed refusal
     with pytest.raises(sl.SizeLimitError):
         sl.baernstein_norm(x, 2)

@@ -12,6 +12,7 @@ from schreierlab.norms import (
     _bp_dp,
     _bp_oracle_pow,
     _monotone_bp,
+    _overlaps,
     _powfn,
 )
 
@@ -404,6 +405,41 @@ def test_exact_mode_validation():
 
 
 # -- sigma operator -------------------------------------------------------------
+
+
+def reference_overlaps(x, s):
+    """The two-pointer walk over every run of x, from the first."""
+    ivs, j = s.intervals, 0
+    for lo, hi, v in x.runs:
+        while j < len(ivs) and ivs[j][1] < lo:
+            j += 1
+        ov, k = 0, j
+        while k < len(ivs) and ivs[k][0] <= hi:
+            ov += min(hi, ivs[k][1]) - max(lo, ivs[k][0]) + 1
+            k += 1
+        if ov:
+            yield ov, v
+
+
+def test_overlaps_from_the_bisected_start_match_the_full_walk():
+    # runs with gaps and adjacent runs: 5-9, 10-12, 20-20, 30-39, 40-45
+    x = CoeffVector([(5, 9, 1), (10, 12, -2), (20, 20, 3), (30, 39, 4), (40, 45, 5)])
+    sets = [
+        IntSet(()),  # empty
+        IntSet([(1, 4)]),  # before every run
+        IntSet([(46, 60)]),  # after every run
+        IntSet([(13, 19), (21, 29)]),  # between runs only
+        IntSet([(1, 100)]),  # across every run
+        IntSet([(9, 10), (20, 30), (45, 47)]),  # across run ends
+        IntSet([(1, 2), (11, 11), (38, 41), (50, 51)]),
+    ]
+    for s in sets:
+        assert list(_overlaps(x, s)) == list(reference_overlaps(x, s)), s
+    rng = random.Random(7)
+    for _ in range(500):
+        y = rand_vector(rng, max_support=12, window=40)
+        s = IntSet.from_iterable(rng.sample(range(1, 52), rng.randint(0, 12)))
+        assert list(_overlaps(y, s)) == list(reference_overlaps(y, s)), (y, s)
 
 
 def test_sigma_operator_examples():
