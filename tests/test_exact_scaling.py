@@ -4,9 +4,8 @@ The exact engines run on x*L as ints (L the lcm of the denominators) and the
 Schreier engine scans runs over a Fenwick tree with exact sums in both
 modes.  These tests hold them to a copy of the per-candidate-sort scan, of
 the run scan that bisected inside each run and of the chain DP that rebuilt
-its witness in a second pass, to the
-exhaustive oracle, to scaling invariance on every engine path, and to float
-values pinned bit for bit.
+its witness in a second pass, to the exhaustive oracle, to scaling
+invariance on every engine path, and to float values pinned bit for bit.
 """
 
 import random
@@ -413,7 +412,7 @@ def test_run_scan_matches_the_bisection_scan():
 
 def test_first_maximizer_is_a_run_candidate():
     """Brute force over every q of short runs: f(q) is w plus the q - 1
-    heaviest of the hi - q later copies of w and the later weights."""
+    heaviest of the hi - q copies of w beyond q and the later weights."""
     rng = random.Random(31)
     for _ in range(4000):
         lo = rng.randint(1, 15)
