@@ -299,11 +299,12 @@ def _int_weights(x: CoeffVector, p, mode: str) -> tuple[list[int], int]:
     return [n * (divisor // d) for n, d in ratios], divisor
 
 
-def _run_candidates(lo: int, hi: int, heavier: int, half: int) -> list[int]:
+def _run_candidates(lo: int, hi: int, heavier: int, half: int) -> tuple[int, ...]:
     """The points of [lo, hi] among which _run_scan's lemma puts the run's
-    first maximizer, ascending; heavier and half are A and C there."""
+    first maximizer, ascending (C >= A) and possibly repeated; heavier and
+    half are A and C there."""
     cands = (heavier + 1, (hi + half + 1) // 2, (hi + half + 2) // 2)
-    return sorted({min(hi, max(lo, c)) for c in cands})
+    return tuple(min(hi, max(lo, c)) for c in cands)
 
 
 def _run_scan(runs, weights: list[int]) -> tuple[int, IntSet]:

@@ -291,31 +291,28 @@ def _lemma22_chain(s: int, m: int):
     # companion certifies every integral p
     companion = cons.flat_vector(chain, 1, "sp")
     rs = norms.schreier_norm(companion, 1)
-    # float checks at p = 1.5 on the honest float vectors
+    ok = 1 <= rs.value_pow <= 2 and rs.check(companion)
+    for p in (1, 2, 3):
+        yield record(f"sp-exact-s{s}-m{m}-p{p}", _SP_TAG, _digest("lemma22-sp", s, m, p),
+                     "pow in [1, 2]", rs.value_pow, ok)
+    # float check at p = 1.5 on the honest float vector
     xf = cons.flat_vector(chain, 1.5, "sp")
     rf = norms.schreier_norm(xf, 1.5)
+    lo, hi = 1.0, 2.0 ** (1 / 1.5)
+    ok = lo * (1 - norms.FLOAT_RTOL) <= rf.value <= hi * (1 + norms.FLOAT_RTOL) and rf.check(xf)
+    yield record(f"sp-float-s{s}-m{m}-p1.5", _SP_TAG, _digest("lemma22-spf", s, m),
+                 f"value in [{lo}, {hi}]", rf.value, ok)
     xb = cons.flat_vector(chain, 2, "bp")
-    rb = {p: norms.baernstein_norm(xb, p) for p in (2, 3)}
+    for p in (2, 3):
+        rb = norms.baernstein_norm(xb, p)
+        ok = m <= rb.value_pow <= (2**p) * m and rb.check(xb)
+        yield record(f"bp-exact-s{s}-m{m}-p{p}", _BP_TAG, _digest("lemma22-bp", s, m, p),
+                     f"pow in [{m}, {2**p * m}]", rb.value_pow, ok)
     rbf = norms.baernstein_norm(CoeffVector((a, b, float(v)) for a, b, v in xb.runs), 1.5)
-    sp_lo, sp_hi = 1.0, 2.0 ** (1 / 1.5)
-    bp_lo, bp_hi = float(m) ** (1 / 1.5), 2 * float(m) ** (1 / 1.5)
-    lo_tol, hi_tol = 1 - norms.FLOAT_RTOL, 1 + norms.FLOAT_RTOL
-    sp_ok = 1 <= rs.value_pow <= 2 and rs.check(companion)
-    table = [  # (check, tag, digest parts, expected, observed, ok)
-        *((f"sp-exact-s{s}-m{m}-p{p}", _SP_TAG, ("lemma22-sp", s, m, p),
-           "pow in [1, 2]", rs.value_pow, sp_ok) for p in (1, 2, 3)),
-        (f"sp-float-s{s}-m{m}-p1.5", _SP_TAG, ("lemma22-spf", s, m),
-         f"value in [{sp_lo}, {sp_hi}]", rf.value,
-         sp_lo * lo_tol <= rf.value <= sp_hi * hi_tol and rf.check(xf)),
-        *((f"bp-exact-s{s}-m{m}-p{p}", _BP_TAG, ("lemma22-bp", s, m, p),
-           f"pow in [{m}, {2**p * m}]", r.value_pow,
-           m <= r.value_pow <= (2**p) * m and r.check(xb)) for p, r in rb.items()),
-        (f"bp-float-s{s}-m{m}-p1.5", _BP_TAG, ("lemma22-bpf", s, m),
-         f"value in [{bp_lo:.6f}, {bp_hi:.6f}]", rbf.value,
-         bp_lo * lo_tol <= rbf.value <= bp_hi * hi_tol),
-    ]
-    for check, tag, parts, expected, observed, ok in table:
-        yield record(check, tag, _digest(*parts), expected, observed, ok)
+    lo, hi = float(m) ** (1 / 1.5), 2 * float(m) ** (1 / 1.5)
+    ok = lo * (1 - norms.FLOAT_RTOL) <= rbf.value <= hi * (1 + norms.FLOAT_RTOL)
+    yield record(f"bp-float-s{s}-m{m}-p1.5", _BP_TAG, _digest("lemma22-bpf", s, m),
+                 f"value in [{lo:.6f}, {hi:.6f}]", rbf.value, ok)
 
 
 def suite_lemma22(seed: int, jobs: int, *, max_m=20, starts=(1, 2, 3, 5, 8)) -> list[dict]:
