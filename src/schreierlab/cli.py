@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 failed verification check, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -213,6 +214,7 @@ _SIZES_HELP = "\n".join(
 )
 
 
+@functools.cache  # one tree per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schreier-lab",

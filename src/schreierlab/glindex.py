@@ -187,7 +187,8 @@ def gl_index_truncated(m: IndexSet, n: IndexSet, k: int) -> TruncatedGLIndex:
     cap = min(n_{j1}, K - j1 + 1).  The i-th element of such a J is at least
     j1 + i - 1, so M(J) is a spread of M({j1, ..., j1 + cap - 1}), and tau1
     cannot grow under spreads: that window is optimal for j1.  The index is
-    the max over the K windows, O(K * cap).  The witness is the window at
+    the max over the K windows, each counted in place on the prefix of M in
+    one greedy step per block, O(K * value).  The witness is the window at
     the smallest j1 attaining the value, which is the lexicographically
     smallest maximal selection attaining it.
     """
@@ -196,7 +197,7 @@ def gl_index_truncated(m: IndexSet, n: IndexSet, k: int) -> TruncatedGLIndex:
     mp = m.prefix(k)
     np_ = n.prefix(k)
     windows = [(j1, j1 + min(np_[j1 - 1], k - j1 + 1) - 1) for j1 in range(1, k + 1)]
-    values = [_tau1_count_sorted(mp[lo - 1 : hi]) for lo, hi in windows]
+    values = [_tau1_count_sorted(mp, lo - 1, hi) for lo, hi in windows]
     best = values.index(max(values))
     return TruncatedGLIndex(values[best], IntSet.interval(*windows[best]), k)
 

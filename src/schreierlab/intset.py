@@ -24,19 +24,23 @@ class IntSet:
     __slots__ = ("_ivs", "_size", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
-        merged: list[list[int]] = []
+        merged: list[tuple[int, int]] = []
+        size = 0
         for lo, hi in sorted(intervals):
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise InvalidInputError("interval endpoints must be integers")
             if lo > hi:
                 raise InvalidInputError(f"empty interval [{lo}, {hi}]")
             if merged and lo <= merged[-1][1] + 1:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
+                plo, phi = merged[-1]
+                if hi > phi:
+                    merged[-1] = (plo, hi)
+                    size += hi - phi
             else:
-                merged.append([lo, hi])
-        self._ivs: tuple[tuple[int, int], ...] = tuple((a, b) for a, b in merged)
-        self._size = sum(b - a + 1 for a, b in self._ivs)
+                merged.append((lo, hi))
+                size += hi - lo + 1
+        self._ivs: tuple[tuple[int, int], ...] = tuple(merged)
+        self._size = size
         self._ends: list[int] | None = None
 
     @classmethod

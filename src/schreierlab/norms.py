@@ -19,7 +19,8 @@ sorted support up to DEFAULT_DP_LIMIT points, where a block with fixed
 first/last element is filled greedily with the largest intermediate |x|
 values (adding a non-negative term to a block sum never decreases beta_p
 and cannot affect the remainder).  Its one pass keeps only the sum of those
-values, in a bounded min-heap, and the first optimal last element of each
+values (a running sum while the block takes every point between its ends,
+a bounded min-heap after that) and the first optimal last element of each
 block; following those gives the least optimal chain as the witness
 (_bp_dp).  Beyond the limit, for non-increasing |x| of any size, a
 two-sided bound that must be tight (_monotone_bp).
@@ -32,7 +33,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappush, heapreplace
+from heapq import heapify, heapreplace
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
@@ -464,11 +466,14 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     are the top min(pos[i]-2, t-i-1) points by (value descending, position
     ascending), so B(t')'s body before t lies inside B(t)'s (B(t) takes every
     point there, or both take pos[i]-2).  So B(t) is a prefix of B(t'), or
-    the least point where they differ is B(t)'s alone.  The forward pass
-    keeps only each body's sum (a min-heap of its values); the witness walk
-    ranks each block's body on its own.
+    the least point where they differ is B(t)'s alone.
+
+    The forward pass keeps only each body's sum.  Ends t <= i + 1 + budget
+    take every point between, so their sums are one running sum and their
+    values one list; only the later ends keep the budget largest values in
+    a min-heap.  The witness walk ranks each block's body on its own.
     """
-    powfn = _powfn(p, mode)
+    pw = _integral_exponent(p) if mode == "exact" else float(p)  # as in _powfn
     pairs = x.pairs()
     pos = [q for q, _ in pairs]
     val = [abs(v) for _, v in pairs]
@@ -477,19 +482,25 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     W: list[Pow] = [0] * (n + 1)
     last = list(range(n))
     for i in range(n - 1, -1, -1):
-        best = powfn(val[i]) + W[i + 1]  # the block {pos[i]}
-        budget = pos[i] - 2  # points between the ends; none when pos[i] is 1
-        top: list[Pow] = []  # min-heap of the budget largest values of i+1..t-1
-        topsum: Pow = 0  # their sum
-        for t in range(i + 1, n) if budget >= 0 else ():
-            cand = powfn(val[i] + topsum + val[t]) + W[t + 1]
-            if cand > best:
-                best, last[i] = cand, t
-            if len(top) < budget:
-                heappush(top, val[t])
-                topsum = topsum + val[t]
-            elif top and val[t] > top[0]:
-                topsum = topsum + val[t] - heapreplace(top, val[t])
+        vi, budget = val[i], pos[i] - 2  # points between the ends; none when pos[i] is 1
+        best = vi**pw + W[i + 1]  # the block {pos[i]}
+        if budget >= 0:
+            mid = min(n, i + 2 + budget)  # the ends before mid take every point between
+            sums = list(accumulate(val[i + 1 : mid - 1], initial=0))
+            ends = zip(sums, val[i + 1 : mid], W[i + 2 : mid + 1])  # t = i+1..mid-1
+            cands = [(vi + s + v) ** pw + w for s, v, w in ends]
+            top_cand = max(cands, default=best)
+            if top_cand > best:
+                best, last[i] = top_cand, i + 1 + cands.index(top_cand)
+            if mid < n:  # the later ends keep the budget largest values in a min-heap
+                top, topsum = val[i + 1 : mid - 1], sums[-1]  # the budget values between
+                heapify(top)
+                for t in range(mid, n):
+                    if top and val[t - 1] > top[0]:
+                        topsum = topsum + val[t - 1] - heapreplace(top, val[t - 1])
+                    cand = (vi + topsum + val[t]) ** pw + W[t + 1]
+                    if cand > best:
+                        best, last[i] = cand, t
         W[i] = best
 
     blocks, i = [], 0

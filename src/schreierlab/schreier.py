@@ -202,13 +202,12 @@ def tau1_oracle(a) -> int:
     return best(0)
 
 
-def _tau1_count_sorted(elems) -> int:
-    """Greedy covering count for a sorted tuple/list of positive ints."""
-    n = len(elems)
-    i = 0
+def _tau1_count_sorted(elems, lo: int, hi: int) -> int:
+    """Greedy covering count of elems[lo:hi], a sorted run of positive ints,
+    counted in place: each block is as long as its minimum allows."""
     count = 0
-    while i < n:
-        i += min(elems[i], n - i)
+    while lo < hi:
+        lo += min(elems[lo], hi - lo)
         count += 1
     return count
 

@@ -11,7 +11,6 @@ but demotes the vector to float mode.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -22,10 +21,6 @@ Scalar = Union[int, Fraction, float]
 
 # Guard for operations that expand runs into per-index form.
 PAIRS_LIMIT = 100_000
-
-
-def is_exact_scalar(v) -> bool:
-    return isinstance(v, numbers.Rational)
 
 
 def _check_scalar(v) -> None:
@@ -39,7 +34,10 @@ class CoeffVector:
     __slots__ = ("_runs", "_size", "_exact")
 
     def __init__(self, runs: Iterable[tuple[int, int, Scalar]] = ()):
-        norm: list[list] = []
+        """Validate, merge and size the runs in one pass; the vector is exact
+        unless a non-zero float is the value of one of its runs."""
+        out: list[tuple[int, int, Scalar]] = []
+        size, exact = 0, True
         for lo, hi, v in sorted(runs, key=lambda r: (r[0], r[1])):
             if not isinstance(lo, int) or not isinstance(hi, int):
                 raise InvalidInputError("run endpoints must be integers")
@@ -50,17 +48,20 @@ class CoeffVector:
             _check_scalar(v)
             if v == 0:
                 continue
-            if norm and lo <= norm[-1][1]:
-                raise InvalidInputError(f"overlapping runs at index {lo}")
-            if norm and lo == norm[-1][1] + 1 and norm[-1][2] == v:
-                norm[-1][1] = hi
-            else:
-                norm.append([lo, hi, v])
-        self._runs: tuple[tuple[int, int, Scalar], ...] = tuple(
-            (lo, hi, v) for lo, hi, v in norm
-        )
-        self._size = sum(hi - lo + 1 for lo, hi, _ in self._runs)
-        self._exact = all(is_exact_scalar(v) for _, _, v in self._runs)
+            size += hi - lo + 1
+            if out:
+                plo, phi, pv = out[-1]
+                if lo <= phi:
+                    raise InvalidInputError(f"overlapping runs at index {lo}")
+                if lo == phi + 1 and pv == v:
+                    out[-1] = (plo, hi, pv)
+                    continue
+            out.append((lo, hi, v))
+            if isinstance(v, float):
+                exact = False
+        self._runs: tuple[tuple[int, int, Scalar], ...] = tuple(out)
+        self._size = size
+        self._exact = exact
 
     # -- constructors -------------------------------------------------------
 

@@ -413,3 +413,39 @@ def test_verify_help_lists_every_size_with_its_default(capsys):
                 separators=(",", ":"),
             )
             assert f" {key}={shown}" in line
+
+
+def test_back_to_back_calls_match_calls_on_fresh_parsers(tmp_path, capsys, monkeypatch):
+    """main reuses one parser per process; a run of calls that mixes
+    commands, --size lists of different lengths, a call without --size and
+    usage errors prints what the same calls print on fresh parsers."""
+    calls = [
+        ("norm", "--space", "bp", "--p", "2", "--vec", "[1,1,1]"),
+        ("tau", "--set", "[1,2,3]", "--oracle"),
+        ("verify", "sigma", "--seed", "7", "--size", "count=5"),
+        ("verify", "mpb", "--size", "n_max=6"),
+        ("verify", "mpb"),  # the earlier --size list must not carry over
+        ("verify", "gl-bounds", "--size", "count=4", "--size", "K=6"),
+        ("norm", "--vec", "[1,2]", "--space", "lp"),
+        ("tau", "--set", "[2,3,5]"),
+        ("verify", "sigma", "--seed", "8", "--size", "count=3"),
+        ("norm", "--space", "sp", "--p", "1.5", "--vec", '{"3": "1/2", "5": 2}'),
+    ]
+
+    def run_all(out_dir):
+        seen = []
+        for argv in calls:
+            argv = (*argv, "--out", str(out_dir)) if argv[0] == "verify" else argv
+            code, out, err = run_cli(capsys, *argv)
+            err = "".join(line for line in err.splitlines(True) if "elapsed:" not in line)
+            seen.append((code, out, err))
+        reports = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        return seen, reports
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = run_all(tmp_path / "cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all(tmp_path / "fresh")
+    assert cached == fresh
+    assert [code for code, _, _ in cached[0]] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert "PASS mpb: " in cached[0][4][1] and cached[0][4][1] != cached[0][3][1]

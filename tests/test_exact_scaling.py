@@ -10,6 +10,7 @@ invariance on every engine path, and to float values pinned bit for bit.
 
 import random
 from bisect import bisect_left
+from heapq import heappush, heapreplace
 from fractions import Fraction
 from itertools import combinations
 
@@ -112,6 +113,43 @@ def reference_bp_dp(x, p, mode):
         return memo[i]
 
     return W[0], SchreierChain(IntSet.from_iterable(b) for b in chain_from(0))
+
+
+def reference_heap_bp_dp(x, p, mode):
+    """The chain DP's forward pass with every block end on the heap: a
+    heappush per point up to the budget, then heapreplace, and powfn per
+    candidate."""
+    powfn = _powfn(p, mode)
+    pairs = x.pairs()
+    pos = [q for q, _ in pairs]
+    val = [abs(v) for _, v in pairs]
+    n = len(pairs)
+
+    W = [0] * (n + 1)
+    last = list(range(n))
+    for i in range(n - 1, -1, -1):
+        best = powfn(val[i]) + W[i + 1]  # the block {pos[i]}
+        budget = pos[i] - 2  # points between the ends; none when pos[i] is 1
+        top = []  # min-heap of the budget largest values of i+1..t-1
+        topsum = 0  # their sum
+        for t in range(i + 1, n) if budget >= 0 else ():
+            cand = powfn(val[i] + topsum + val[t]) + W[t + 1]
+            if cand > best:
+                best, last[i] = cand, t
+            if len(top) < budget:
+                heappush(top, val[t])
+                topsum = topsum + val[t]
+            elif top and val[t] > top[0]:
+                topsum = topsum + val[t] - heapreplace(top, val[t])
+        W[i] = best
+
+    blocks, i = [], 0
+    while i < n:
+        t = last[i]
+        body = sorted(range(i + 1, t), key=lambda j: (-val[j], pos[j]))[: pos[i] - 2]
+        blocks.append(IntSet.from_iterable(pos[j] for j in (i, *body, t)))
+        i = t + 1
+    return W[0], SchreierChain(blocks)
 
 
 def reference_bisect_run_scan(runs, weights):
@@ -327,6 +365,60 @@ def test_chain_dp_matches_the_two_pass_dp_on_uniform_floats():
             entries.append((q, rng.uniform(-1, 1) or 0.5))
             q += rng.randint(1, 2)
         _assert_matches_two_pass_dp(CoeffVector.from_entries(entries), rng.choice((2, 3, 1.5)))
+
+
+def _assert_matches_the_heap_dp(x, p, mode=None):
+    mode = mode or sl.norms.resolve_mode(x, p)
+    value, witness = _bp_dp(x, p, mode)
+    ref_value, ref_witness = reference_heap_bp_dp(x, p, mode)
+    assert value == ref_value and type(value) is type(ref_value)
+    assert witness == ref_witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(KINDS + ("sign",)),
+       p=st.sampled_from((2, 3, 1.5, 2.5)))
+def test_chain_dp_matches_the_heap_dp_bit_for_bit(data, kind, p):
+    _assert_matches_the_heap_dp(data.draw(vectors(kind, max_support=DEFAULT_DP_LIMIT)), p)
+
+
+def test_chain_dp_matches_the_heap_dp_at_every_budget():
+    """Supports that start at 1, 2 and 3 (budgets -1, 0 and 1 for the first
+    point), budgets that fill partway through the remaining points and
+    budgets at least as large as them, on int, Fraction, float and mixed
+    entries, in both modes, floats bit for bit."""
+    rng = random.Random(20240821)
+    for start in (1, 2, 3, 5, 9, 40, 200):
+        for kind in ("int", "frac", "float", "mixed", "uniform"):
+            n = rng.choice((1, 2, 3, 12, 30, DEFAULT_DP_LIMIT))
+            entries, q = [], start
+            for _ in range(n):
+                a, d = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice(DENOMS)
+                v = {"int": a, "frac": Fraction(a, d), "float": a / d,
+                     "mixed": rng.choice((a, Fraction(a, d), a / d)),
+                     "uniform": rng.uniform(-1, 1) or 0.5}[kind]
+                entries.append((q, v))
+                q += rng.randint(1, 3)
+            x = CoeffVector.from_entries(entries)
+            for p in (2, 3, 1.5):
+                modes = ("exact", "float") if sl.norms.resolve_mode(x, p) == "exact" else ("float",)
+                for mode in modes:
+                    _assert_matches_the_heap_dp(x, p, mode)
+
+
+@pytest.mark.parametrize("entries, p", [
+    ({1: 1e200, 2: 1.0, 3: 1e200}, 2),  # the float power is out of range
+    ({1: 1, 2: 10**400, 3: 1}, 1.5),  # an int too large to convert to a float
+    ({2: Fraction(10**400, 3), 3: 1}, 2.5),
+])
+def test_chain_dp_overflows_as_the_heap_dp_does(entries, p):
+    x = CoeffVector.from_entries(entries)
+    raised = []
+    for dp in (_bp_dp, reference_heap_bp_dp):
+        with pytest.raises(OverflowError) as exc:
+            dp(x, p, "float")
+        raised.append(exc.value.args)
+    assert raised[0] == raised[1]
 
 
 def _best_block(pairs, i, t):

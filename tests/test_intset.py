@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -199,3 +201,49 @@ def test_invalid_intervals():
         IntSet([(5, 3)])
     with pytest.raises(InvalidInputError):
         IntSet.from_iterable([1.5])  # type: ignore[list-item]
+
+
+def _two_pass_intset(intervals):
+    """The constructor before it summed its size in its loop: merge into
+    lists, then copy them into tuples and sum the sizes."""
+    merged = []
+    for lo, hi in sorted(intervals):
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise InvalidInputError("interval endpoints must be integers")
+        if lo > hi:
+            raise InvalidInputError(f"empty interval [{lo}, {hi}]")
+        if merged and lo <= merged[-1][1] + 1:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    ivs = tuple((a, b) for a, b in merged)
+    return ivs, sum(b - a + 1 for a, b in ivs)
+
+
+def test_constructor_matches_the_two_pass_constructor():
+    """Seeded intervals that overlap, nest, touch, repeat and leave gaps,
+    at negative and past-2^64 endpoints, and every refusal."""
+    rng = random.Random(20240817)
+    refused = 0
+    for _ in range(4000):
+        base = rng.choice((-5, 0, 1, 2**64))
+        intervals = []
+        for _ in range(rng.randint(0, 7)):
+            lo = base + rng.randint(0, 20)
+            hi = lo + rng.randint(-1 if rng.random() < 0.05 else 0, 6)
+            if rng.random() < 0.03:
+                lo = float(lo)
+            intervals.append((lo, hi))
+        try:
+            ref = _two_pass_intset(intervals)
+        except InvalidInputError as exc:
+            refused += 1
+            with pytest.raises(InvalidInputError) as got:
+                IntSet(intervals)
+            assert str(got.value) == str(exc)
+            continue
+        s = IntSet(intervals)
+        assert (s.intervals, s.size) == ref, intervals
+        assert all(type(e) is int for iv in s.intervals for e in iv)
+    assert 200 < refused < 2000

@@ -445,10 +445,15 @@ def test_tau1_past_2_64_points():
 
 
 def test_tau1_count_sorted_fast_path():
+    """The in-place count over elems[lo:hi] is tau1 of that slice."""
     rng = random.Random(3)
     for _ in range(300):
         a = tuple(sorted(rng.sample(range(1, 15), rng.randint(1, 11))))
-        assert _tau1_count_sorted(a) == sl.tau1(a)[0]
+        lo = rng.randint(0, len(a) - 1)
+        hi = rng.randint(lo + 1, len(a))
+        assert _tau1_count_sorted(a, lo, hi) == sl.tau1(a[lo:hi])[0]
+        assert _tau1_count_sorted(a, 0, len(a)) == sl.tau1(a)[0]
+        assert _tau1_count_sorted(a, hi, hi) == 0
 
 
 def test_tau1_rejects_bad_input():

@@ -24,7 +24,7 @@ def test_parser_reuses_the_sizes_help_built_at_import(monkeypatch):
 
     monkeypatch.setattr(suites, "describe_sizes", rebuilt)
     monkeypatch.setattr(inspect, "signature", rebuilt)
-    cli.build_parser()
+    cli.build_parser.__wrapped__()  # a fresh tree, not the one cached for the process
 
 
 @pytest.mark.parametrize(

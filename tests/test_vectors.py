@@ -1,4 +1,6 @@
 import math
+import numbers
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,3 +125,74 @@ def test_non_finite_scalars_are_rejected():
     for space in ("sp", "bp"):
         with pytest.raises(sl.UnsupportedExponentError):
             validate_exponent(math.inf, space)
+
+
+def _two_pass_vector(runs):
+    """The constructor before it tracked size and exactness in its loop:
+    merge into lists, then sum the sizes and test every run's value against
+    numbers.Rational."""
+    norm = []
+    for lo, hi, v in sorted(runs, key=lambda r: (r[0], r[1])):
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise sl.InvalidInputError("run endpoints must be integers")
+        if lo < 1:
+            raise sl.InvalidInputError(f"indices must be >= 1, got {lo}")
+        if lo > hi:
+            raise sl.InvalidInputError(f"empty run [{lo}, {hi}]")
+        if not isinstance(v, (int, Fraction, float)):
+            raise sl.InvalidInputError(f"unsupported scalar type {type(v).__name__}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise sl.InvalidInputError(f"non-finite scalar {v!r}")
+        if v == 0:
+            continue
+        if norm and lo <= norm[-1][1]:
+            raise sl.InvalidInputError(f"overlapping runs at index {lo}")
+        if norm and lo == norm[-1][1] + 1 and norm[-1][2] == v:
+            norm[-1][1] = hi
+        else:
+            norm.append([lo, hi, v])
+    out = tuple((lo, hi, v) for lo, hi, v in norm)
+    size = sum(hi - lo + 1 for lo, hi, _ in out)
+    return out, size, all(isinstance(v, numbers.Rational) for _, _, v in out)
+
+
+def _outcome(build, runs):
+    """(runs with each value's type, size, exact), or the refusal's message."""
+    try:
+        out, size, exact = build(runs)
+    except sl.InvalidInputError as exc:
+        return "refused", str(exc)
+    return [(lo, hi, v, type(v)) for lo, hi, v in out], size, exact
+
+
+def test_constructor_matches_the_two_pass_constructor():
+    """Seeded runs with equal values across int, Fraction and float, zero
+    entries of every type, gaps, adjacency, overlaps and every refusal."""
+    rng = random.Random(20240817)
+    values = (1, 2, -1, Fraction(1), Fraction(1, 2), 1.0, 0.5, 2.0, 0, 0.0, Fraction(0),
+              True, math.inf, math.nan, "1", None)
+    new = lambda runs: (lambda x: (x.runs, x.support_size, x.exact))(CoeffVector(runs))
+    refused = 0
+    for _ in range(4000):
+        runs, lo = [], rng.choice((0, 1, 1, 2, 5))
+        for _ in range(rng.randint(0, 6)):
+            length = rng.choice((1, 1, 2, 3, 0))
+            hi = lo + length - 1
+            if rng.random() < 0.03:
+                hi = float(hi)
+            runs.append((lo, hi, rng.choice(values[:10]) if rng.random() < 0.95
+                         else rng.choice(values[10:])))
+            lo = hi + 1 + rng.choice((0, 0, 0, 1, 3, -1)) if isinstance(hi, int) else 1
+        rng.shuffle(runs)
+        ref = _outcome(_two_pass_vector, runs)
+        assert _outcome(new, runs) == ref, runs
+        refused += ref[0] == "refused"
+    assert 500 < refused < 3500
+
+
+def test_a_zero_float_entry_keeps_the_vector_exact():
+    x = CoeffVector.from_entries({1: 2, 2: 0.0, 3: Fraction(1, 3)})
+    assert x.exact and x.runs == ((1, 1, 2), (3, 3, Fraction(1, 3))) and x.support_size == 2
+    # a float equal to its int neighbour joins the int's run and is not kept
+    assert CoeffVector.from_dense([1, 1.0]).exact
+    assert not CoeffVector.from_dense([1.0, 1]).exact
