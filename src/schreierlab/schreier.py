@@ -204,10 +204,11 @@ def tau1_oracle(a) -> int:
 
 def _tau1_count_sorted(elems, lo: int, hi: int) -> int:
     """Greedy covering count of elems[lo:hi], a sorted run of positive ints,
-    counted in place: each block is as long as its minimum allows."""
+    counted in place: each block takes as many points as its minimum allows,
+    the last one whatever is left."""
     count = 0
     while lo < hi:
-        lo += min(elems[lo], hi - lo)
+        lo += elems[lo]
         count += 1
     return count
 

@@ -406,6 +406,17 @@ def test_chain_dp_matches_the_heap_dp_at_every_budget():
                     _assert_matches_the_heap_dp(x, p, mode)
 
 
+def test_chain_dp_matches_the_heap_dp_on_tied_ends():
+    """Short supports with values from {1, 2, 3}, where block ends often tie
+    and only the first optimal end gives the least chain."""
+    rng = random.Random(292)
+    for _ in range(3000):
+        start = rng.randint(1, 4)
+        pos = sorted(rng.sample(range(start, start + 12), rng.randint(2, 9)))
+        x = CoeffVector.from_entries((q, rng.choice((1, 1, 2, 3))) for q in pos)
+        _assert_matches_the_heap_dp(x, rng.choice((2, 3)), rng.choice(("exact", "float")))
+
+
 @pytest.mark.parametrize("entries, p", [
     ({1: 1e200, 2: 1.0, 3: 1e200}, 2),  # the float power is out of range
     ({1: 1, 2: 10**400, 3: 1}, 1.5),  # an int too large to convert to a float

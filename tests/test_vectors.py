@@ -41,6 +41,11 @@ def test_invalid_vectors():
 def test_exactness_tracking():
     assert CoeffVector.from_dense([1, Fraction(1, 3)]).exact
     assert not CoeffVector.from_dense([1, 0.5]).exact
+    x = CoeffVector.from_entries({1: 2, 2: 0.0, 3: Fraction(1, 3)})  # a zero float is dropped
+    assert x.exact and x.runs == ((1, 1, 2), (3, 3, Fraction(1, 3))) and x.support_size == 2
+    # a float equal to its int neighbour joins the int's run and is not kept
+    assert CoeffVector.from_dense([1, 1.0]).exact
+    assert not CoeffVector.from_dense([1.0, 1]).exact
 
 
 def test_addition_and_scaling():
@@ -171,7 +176,10 @@ def test_constructor_matches_the_two_pass_constructor():
     rng = random.Random(20240817)
     values = (1, 2, -1, Fraction(1), Fraction(1, 2), 1.0, 0.5, 2.0, 0, 0.0, Fraction(0),
               True, math.inf, math.nan, "1", None)
-    new = lambda runs: (lambda x: (x.runs, x.support_size, x.exact))(CoeffVector(runs))
+    def one_pass(runs):
+        x = CoeffVector(runs)
+        return x.runs, x.support_size, x.exact
+
     refused = 0
     for _ in range(4000):
         runs, lo = [], rng.choice((0, 1, 1, 2, 5))
@@ -185,14 +193,6 @@ def test_constructor_matches_the_two_pass_constructor():
             lo = hi + 1 + rng.choice((0, 0, 0, 1, 3, -1)) if isinstance(hi, int) else 1
         rng.shuffle(runs)
         ref = _outcome(_two_pass_vector, runs)
-        assert _outcome(new, runs) == ref, runs
+        assert _outcome(one_pass, runs) == ref, runs
         refused += ref[0] == "refused"
     assert 500 < refused < 3500
-
-
-def test_a_zero_float_entry_keeps_the_vector_exact():
-    x = CoeffVector.from_entries({1: 2, 2: 0.0, 3: Fraction(1, 3)})
-    assert x.exact and x.runs == ((1, 1, 2), (3, 3, Fraction(1, 3))) and x.support_size == 2
-    # a float equal to its int neighbour joins the int's run and is not kept
-    assert CoeffVector.from_dense([1, 1.0]).exact
-    assert not CoeffVector.from_dense([1.0, 1]).exact
