@@ -3,8 +3,9 @@
 The exact engines run on x*L as ints (L the lcm of the denominators) and the
 Schreier engine scans runs over a Fenwick tree with exact sums in both
 modes.  These tests hold them to a copy of the per-candidate-sort scan, of
-the run scan that bisected inside each run and of the chain DP that rebuilt
-its witness in a second pass, to the exhaustive oracle, to scaling
+the run scan that bisected inside each run, of the chain DP that rebuilt
+its witness in a second pass and of the chain DP that kept every block end
+on its heap, to the exhaustive oracle, to scaling
 invariance on every engine path, and to float values pinned bit for bit.
 """
 
