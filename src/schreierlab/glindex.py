@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError, TruncationError
-from .intset import IntSet
+from .errors import InvalidInputError, SizeLimitError, TruncationError
+from .intset import MATERIALIZE_LIMIT, IntSet
 from .norms import FLOAT_RTOL, SPACE_BAERNSTEIN, norm, validate_exponent
 from .schreier import _tau1_count_sorted, as_positive_intset
 from .vectors import CoeffVector, ints_from_json
@@ -157,6 +157,10 @@ class IndexSet:
     def to_json_obj(self, k: int | None = None) -> dict:
         if k is None:
             k = self._limit if self._limit is not None else len(self._cache)
+        if k > MATERIALIZE_LIMIT:  # before the stream is read that far
+            raise SizeLimitError(
+                f"refusing to materialize {k} elements (limit {MATERIALIZE_LIMIT})"
+            )
         return {"rule": self.rule, "prefix": list(self.prefix(k)) if k else []}
 
     def __repr__(self) -> str:

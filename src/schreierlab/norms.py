@@ -12,6 +12,8 @@ the denominators (see _on_ints), while the seminorms, the oracles and
 NormResult.check compute in x's own scalars and so check the engines
 independently.  Otherwise the powers are floats ("float" mode), compared
 within 1e-9 relative (floats_close); the Schreier scan still sums exactly.
+Every power is b ** e with e = _exponent(p, mode).  mu_p, beta_p and
+sigma_operator sum over sets in one walk over the runs of x (_block_sums).
 
 schreier_norm has one engine at every support size, an exact scan over the
 runs of x (_run_scan).  baernstein_norm runs a dynamic program over the
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     InvalidInputError,
@@ -104,14 +106,16 @@ def resolve_mode(x: CoeffVector, p, mode: str = "auto") -> str:
     return "float"
 
 
-def _powfn(p, mode: str) -> Callable[[Scalar], Pow]:
+def _exponent(p, mode: str) -> int | float:
+    """The exponent e of every power b ** e: the int p in exact mode, float(p)
+    otherwise.  An int or Fraction b ** float(p) converts b to float first,
+    so it is float(b) ** float(p) and overflows as that does."""
     if mode == "exact":
         pi = _integral_exponent(p)
         if pi is None:
             raise InvalidInputError("exact mode needs an integral exponent")
-        return lambda b: b**pi
-    pf = float(p)
-    return lambda b: float(b) ** pf
+        return pi
+    return float(p)
 
 
 def _root(pow_value: Pow, p) -> float:
@@ -136,38 +140,40 @@ def _on_ints(engine, x: CoeffVector, p, mode: str):
     lcm = math.lcm(*(v.denominator for _, _, v in x.runs))
     y = CoeffVector((lo, hi, v.numerator * (lcm // v.denominator)) for lo, hi, v in x.runs)
     pow_value, witness = engine(y, p, mode)
-    return Fraction(pow_value, lcm ** _integral_exponent(p)), witness
+    return Fraction(pow_value, lcm ** _exponent(p, mode)), witness
 
 
 # -- seminorms ---------------------------------------------------------------
 
 
-def _overlaps(x: CoeffVector, s: IntSet) -> Iterator[tuple[int, Scalar]]:
-    """(|run & s|, value) for each run of x that meets s, in run order.
+def _block_sums(x: CoeffVector, blocks: Iterable[IntSet], f) -> Iterator[Pow]:
+    """Sum of f(x(n)) over n in each block in turn, accumulated run by run.
 
-    One two-pointer pass over the intervals of s and the runs from the first
-    one ending at or after min s (found by bisection) to the last one
-    starting at or before max s; an interval that spans several runs is
-    visited once per run it meets.
+    One two-pointer pass per block over its intervals and the runs from the
+    first one ending at or after its minimum to the last one starting at or
+    before its maximum.  The blocks are successive, so that first run is
+    bisected for from the previous block's first run (a run may meet two
+    blocks).
     """
-    ivs = s.intervals
-    if not ivs:
-        return
-    runs, end = x.runs, ivs[-1][1]
-    j = 0
-    for r in range(bisect_left(runs, ivs[0][0], key=lambda run: run[1]), len(runs)):
-        lo, hi, v = runs[r]
-        if lo > end:
-            return
-        while ivs[j][1] < lo:  # stops: lo <= end
-            j += 1
-        ov = 0
-        k = j
-        while k < len(ivs) and ivs[k][0] <= hi:
-            ov += min(hi, ivs[k][1]) - max(lo, ivs[k][0]) + 1
-            k += 1
-        if ov:
-            yield ov, v
+    runs, r = x.runs, 0
+    for block in blocks:
+        ivs, s = block.intervals, 0
+        if ivs:
+            end, j = ivs[-1][1], 0
+            r = bisect_left(runs, ivs[0][0], r, key=lambda run: run[1])
+            for i in range(r, len(runs)):
+                lo, hi, v = runs[i]
+                if lo > end:
+                    break
+                while ivs[j][1] < lo:  # stops: lo <= end
+                    j += 1
+                ov, k = 0, j
+                while k < len(ivs) and ivs[k][0] <= hi:
+                    ov += min(hi, ivs[k][1]) - max(lo, ivs[k][0]) + 1
+                    k += 1
+                if ov:
+                    s = s + ov * f(v)
+        yield s
 
 
 def mu_p_pow(x: CoeffVector, f, p, mode: str = "auto") -> Pow:
@@ -176,8 +182,8 @@ def mu_p_pow(x: CoeffVector, f, p, mode: str = "auto") -> Pow:
     if not is_schreier(fs):
         raise InvalidInputError(f"{fs!r} is not a Schreier set")
     validate_exponent(p, SPACE_SCHREIER)
-    powfn = _powfn(p, resolve_mode(x, p, mode))
-    return _block_sum(x, fs, lambda v: powfn(abs(v)))
+    e = _exponent(p, resolve_mode(x, p, mode))
+    return next(_block_sums(x, [fs], lambda v: abs(v) ** e))
 
 
 def mu_p(x: CoeffVector, f, p, mode: str = "auto") -> float:
@@ -190,22 +196,14 @@ def _chain_blocks(chain) -> tuple[IntSet, ...]:
     return SchreierChain(chain).sets
 
 
-def _block_sum(x: CoeffVector, block: IntSet, f=abs) -> Pow:
-    """Sum of f(x(n)) over n in block, accumulated run by run."""
-    s: Pow = 0
-    for ov, v in _overlaps(x, block):
-        s = s + ov * f(v)
-    return s
-
-
 def beta_p_pow(x: CoeffVector, chain, p, mode: str = "auto") -> Pow:
     """Sum over the chain's blocks F of (sum_{n in F} |x(n)|)^p; needs p > 1."""
     validate_exponent(p, SPACE_BAERNSTEIN)
     blocks = _chain_blocks(chain)
-    powfn = _powfn(p, resolve_mode(x, p, mode))
+    e = _exponent(p, resolve_mode(x, p, mode))
     total: Pow = 0
-    for block in blocks:
-        total = total + powfn(_block_sum(x, block))
+    for s in _block_sums(x, blocks, abs):
+        total = total + s**e
     return total
 
 
@@ -215,10 +213,10 @@ def beta_p(x: CoeffVector, chain, p, mode: str = "auto") -> float:
 
 def lp_norm_pow(x: CoeffVector, p, mode: str = "auto") -> Pow:
     validate_exponent(p, SPACE_SCHREIER)
-    powfn = _powfn(p, resolve_mode(x, p, mode))
+    e = _exponent(p, resolve_mode(x, p, mode))
     total: Pow = 0
     for lo, hi, v in x.runs:
-        total = total + (hi - lo + 1) * powfn(abs(v))
+        total = total + (hi - lo + 1) * abs(v) ** e
     return total
 
 
@@ -292,8 +290,8 @@ def _int_weights(x: CoeffVector, p, mode: str) -> tuple[list[int], int]:
     """|v|^p for each run of x as ints over one divisor: 1 in exact mode (int
     entries, see _on_ints); in float mode each float(|v|) ** p is rounded
     once and, being dyadic, scaled exactly over the largest denominator."""
-    powfn = _powfn(p, mode)
-    powers = [powfn(abs(v)) for _, _, v in x.runs]
+    e = _exponent(p, mode)
+    powers = [abs(v) ** e for _, _, v in x.runs]
     if mode == "exact":
         return powers, 1
     ratios = [w.as_integer_ratio() for w in powers]
@@ -473,7 +471,7 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     values one list; only the later ends keep the budget largest values in
     a min-heap.  The witness walk ranks each block's body on its own.
     """
-    pw = _integral_exponent(p) if mode == "exact" else float(p)  # as in _powfn
+    e = _exponent(p, mode)
     pairs = x.pairs()
     pos = [q for q, _ in pairs]
     val = [abs(v) for _, v in pairs]
@@ -483,12 +481,12 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     last = list(range(n))
     for i in range(n - 1, -1, -1):
         vi, budget = val[i], pos[i] - 2  # points between the ends; none when pos[i] is 1
-        best = vi**pw + W[i + 1]  # the block {pos[i]}
+        best = vi**e + W[i + 1]  # the block {pos[i]}
         if budget >= 0:
             mid = min(n, i + 2 + budget)  # the ends before mid take every point between
             sums = list(accumulate(val[i + 1 : mid - 1], initial=0))
             ends = zip(sums, val[i + 1 : mid], W[i + 2 : mid + 1])  # t = i+1..mid-1
-            cands = [(vi + s + v) ** pw + w for s, v, w in ends]
+            cands = [(vi + s + v) ** e + w for s, v, w in ends]
             top_cand = max(cands, default=best)
             if top_cand > best:
                 best, last[i] = top_cand, i + 1 + cands.index(top_cand)
@@ -498,7 +496,7 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
                 for t in range(mid, n):
                     if top and val[t - 1] > top[0]:
                         topsum = topsum + val[t - 1] - heapreplace(top, val[t - 1])
-                    cand = (vi + topsum + val[t]) ** pw + W[t + 1]
+                    cand = (vi + topsum + val[t]) ** e + W[t + 1]
                     if cand > best:
                         best, last[i] = cand, t
         W[i] = best
@@ -525,12 +523,12 @@ def _monotone_bp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     1e-9 relative in float mode); the greedy chain is then optimal and serves
     as the witness.
     """
-    powfn = _powfn(p, mode)
+    e = _exponent(p, mode)
     weights, divisor = _int_weights(x, 1, mode)
     wstar, _ = _run_scan(x.runs, weights)
     total = sum((hi - lo + 1) * w for (lo, hi, _), w in zip(x.runs, weights))
     k_full, rem = divmod(total, wstar)
-    upper = k_full * powfn(Fraction(wstar, divisor)) + powfn(Fraction(rem, divisor))
+    upper = k_full * Fraction(wstar, divisor) ** e + Fraction(rem, divisor) ** e
 
     chain = SchreierChain(tau1(x.support())[1].chain)
     lower = beta_p_pow(x, chain, p, mode)
@@ -582,7 +580,7 @@ def norm(x: CoeffVector, p, space: str, mode: str = "auto") -> NormResult:
 # -- exhaustive oracles ------------------------------------------------------
 
 
-def _bp_oracle_pow(pairs: list[tuple[int, Scalar]], powfn) -> Pow:
+def _bp_oracle_pow(pairs: list[tuple[int, Scalar]], e: int | float) -> Pow:
     """Exhaustive max of sum(block-sum^p) over every chain in the support.
 
     best[i] is the best chain inside support points i..n-1: it skips point i,
@@ -595,7 +593,7 @@ def _bp_oracle_pow(pairs: list[tuple[int, Scalar]], powfn) -> Pow:
     for i in range(n - 1, -1, -1):
         top = best[i + 1]
         for b in _blocks(elems, i):
-            cand = powfn(sum(pairs[j][1] for j in b)) + best[b[-1] + 1]
+            cand = sum(pairs[j][1] for j in b) ** e + best[b[-1] + 1]
             if cand > top:
                 top = cand
         best[i] = top
@@ -608,12 +606,12 @@ def oracle_norm_pow(x: CoeffVector, p, space: str, mode: str = "auto") -> Pow:
         raise InvalidInputError(f"unknown space {space!r}")
     validate_exponent(p, space)
     _check_oracle_size(x.support(), "oracle_norm")
-    powfn = _powfn(p, resolve_mode(x, p, mode))
+    e = _exponent(p, resolve_mode(x, p, mode))
     pairs = x.abs().pairs()
     if space == SPACE_BAERNSTEIN:
-        return _bp_oracle_pow(pairs, powfn)
+        return _bp_oracle_pow(pairs, e)
     elems = [q for q, _ in pairs]
-    pw = [powfn(v) for _, v in pairs]
+    pw = [v**e for _, v in pairs]
     return max(
         (sum(pw[j] for j in b) for i in range(len(elems)) for b in _blocks(elems, i)),
         default=0,
@@ -633,10 +631,5 @@ def sigma_operator(x: CoeffVector, sets: Iterable) -> CoeffVector:
     The sets must be non-empty, admissible and successive.  Contracts into
     l_p: lp_norm(output, p) <= baernstein_norm(x, p) for every p > 1.
     """
-    blocks = _chain_blocks(sets)
-    entries = []
-    for idx, block in enumerate(blocks, start=1):
-        s = _block_sum(x, block, lambda v: v)
-        if s != 0:
-            entries.append((idx, s))
-    return CoeffVector.from_entries(entries)
+    sums = enumerate(_block_sums(x, _chain_blocks(sets), lambda v: v), start=1)
+    return CoeffVector.from_entries([(idx, s) for idx, s in sums if s != 0])

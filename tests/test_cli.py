@@ -278,6 +278,37 @@ def test_integers_too_long_to_print_are_a_size_limit(capsys, argv):
     assert f"{sys.get_int_max_str_digits()} digits" in err
 
 
+BEYOND_FLOAT = "1" + "0" * 400  # 10^400, past the largest float
+
+
+@pytest.mark.parametrize("space", ["sp", "bp"])
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        (BEYOND_FLOAT, "int too large to convert to float"),
+        (f'"{BEYOND_FLOAT}/3"', "integer division result too large for a float"),
+    ],
+)
+def test_float_mode_entry_overflows_name_the_conversion(capsys, space, entry, what):
+    # the entry 1.5 puts the query in float mode, where the huge entry is
+    # converted to a float before its power is taken
+    vec = '{"1": 1.5, "2": ' + entry + "}"
+    code, out, err = run_cli(capsys, "norm", "--space", space, "--p", "2", "--vec", vec)
+    assert code == 4
+    assert out == ""
+    assert err == f"error (size limit): {what}; the largest float is {sys.float_info.max!r}\n"
+
+
+def test_oversized_lset_prefix_is_refused_before_the_stream_is_read(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "lset", "--N", "all", "--through", "30", "--n-max", "30",
+        "--prefix", "300000000",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error (size limit): refusing to materialize 300000000 elements (limit 200000)\n"
+
+
 def test_int_overflow_names_no_float_limit(capsys, monkeypatch):
     def broken(_):
         raise OverflowError("Python int too large to convert to C ssize_t")

@@ -23,14 +23,23 @@ from schreierlab import CoeffVector, IntSet, SchreierChain
 from schreierlab.norms import (
     DEFAULT_DP_LIMIT,
     _bp_dp,
+    _exponent,
     _int_weights,
-    _powfn,
     _run_candidates,
     _run_scan,
 )
 
 DENOMS = (1, 2, 3, 5, 7, 11, 13)
 KINDS = ("int", "frac", "float", "mixed")
+
+
+def _powfn(p, mode):
+    """The reference power rule: b ** p in exact mode, float(b) ** float(p)
+    otherwise."""
+    if mode == "exact":
+        return lambda b: b ** int(p)
+    pf = float(p)
+    return lambda b: float(b) ** pf
 
 
 def reference_sp_scan(x, p, mode):
@@ -431,6 +440,27 @@ def test_chain_dp_overflows_as_the_heap_dp_does(entries, p):
             dp(x, p, "float")
         raised.append(exc.value.args)
     assert raised[0] == raised[1]
+
+
+def _outcome(power, b):
+    try:
+        return power(b).hex()
+    except OverflowError as exc:
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 1.5, Fraction(5, 2)])
+def test_float_mode_powers_are_float_b_to_the_float_p(p):
+    # b ** e with e = float(p) is the old float(b) ** float(p), bit for bit,
+    # on int, Fraction and float b, and overflows with the same message
+    e = _exponent(p, "float")
+    rng = random.Random(f"power-{p}")
+    bases = [0, 1, 0.0, 1e-300, 1e200, 10**300, 10**400, Fraction(10**400, 3), Fraction(1, 10**400)]
+    bases += [rng.randint(0, 10**20) for _ in range(200)]
+    bases += [Fraction(rng.randint(0, 10**12), rng.randint(1, 10**12)) for _ in range(200)]
+    bases += [rng.uniform(0, 10) * 10.0 ** rng.randint(-150, 150) for _ in range(200)]
+    for b in bases:
+        assert _outcome(lambda b: b**e, b) == _outcome(_powfn(p, "float"), b), b
 
 
 def _best_block(pairs, i, t):

@@ -5,6 +5,7 @@ import pytest
 
 import schreierlab as sl
 from schreierlab import IndexSet, IntSet
+from schreierlab.intset import MATERIALIZE_LIMIT
 
 
 def rand_prefix(rng, length=14, max_start=4, max_gap=4):
@@ -111,6 +112,17 @@ def test_union_keeps_refusing_past_exhaustion():
         ):
             u.element(5)
     assert u.element(4) == 5
+
+
+def test_json_prefix_past_the_materialize_limit_is_refused_unread():
+    evens = IndexSet.evens()
+    with pytest.raises(
+        sl.SizeLimitError,
+        match=rf"^refusing to materialize {MATERIALIZE_LIMIT + 1} elements \(limit {MATERIALIZE_LIMIT}\)$",
+    ):
+        evens.to_json_obj(MATERIALIZE_LIMIT + 1)
+    assert evens.prefix(1) == (2,) and len(evens._cache) == 1  # nothing was read
+    assert evens.to_json_obj(MATERIALIZE_LIMIT)["prefix"][-1] == 2 * MATERIALIZE_LIMIT
 
 
 def test_contains():

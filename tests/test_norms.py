@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 import schreierlab as sl
 from schreierlab import CoeffVector, IntSet
 from schreierlab.norms import (
+    _block_sums,
     _bp_dp,
     _bp_oracle_pow,
     _monotone_bp,
-    _overlaps,
-    _powfn,
 )
 
 
@@ -196,13 +195,12 @@ def test_bp_oracle_agrees_with_chain_enumeration():
     for _ in range(30):
         x = rand_vector(rng, max_support=6, window=12)
         supp = x.support()
-        powfn = _powfn(2, "exact")
         brute = max(
             (sl.beta_p_pow(x, c, 2) for c in sl.enumerate_chains(supp)),
             default=0,
         )
         pairs = [(q, v) for q, v in x.abs().pairs()]
-        assert _bp_oracle_pow(pairs, powfn) == brute
+        assert _bp_oracle_pow(pairs, 2) == brute
 
 
 def test_covering_witness_for_decreasing_vectors():
@@ -421,6 +419,38 @@ def reference_overlaps(x, s):
             yield ov, v
 
 
+def assert_block_sums_match_the_full_walk(x, blocks):
+    """_block_sums gives the per-block sums of reference_overlaps and calls
+    f on the same run values in the same order."""
+    seen, want, want_seen = [], [], []
+
+    def f(v):
+        seen.append(v)
+        return v
+
+    for block in blocks:
+        s = 0
+        for ov, v in reference_overlaps(x, block):
+            want_seen.append(v)
+            s = s + ov * v
+        want.append(s)
+    assert (list(_block_sums(x, blocks, f)), seen) == (want, want_seen), (x, blocks)
+
+
+def random_runs(rng, count, window):
+    """Runs of 1 to 6 points with gaps of 0 to 3, adjacent runs unequal."""
+    runs, lo, prev = [], rng.randint(1, 4), None
+    while len(runs) < count and lo <= window:
+        hi = lo + rng.randint(0, 5)
+        v = prev
+        while v == prev or v == 0:
+            v = rng.randint(-4, 4)
+        runs.append((lo, hi, v))
+        gap = rng.randint(0, 3)
+        prev, lo = (v if gap == 0 else None), hi + 1 + gap
+    return CoeffVector(runs)
+
+
 def test_overlaps_from_the_bisected_start_match_the_full_walk():
     # runs with gaps and adjacent runs: 5-9, 10-12, 20-20, 30-39, 40-45
     x = CoeffVector([(5, 9, 1), (10, 12, -2), (20, 20, 3), (30, 39, 4), (40, 45, 5)])
@@ -434,12 +464,31 @@ def test_overlaps_from_the_bisected_start_match_the_full_walk():
         IntSet([(1, 2), (11, 11), (38, 41), (50, 51)]),
     ]
     for s in sets:
-        assert list(_overlaps(x, s)) == list(reference_overlaps(x, s)), s
+        assert_block_sums_match_the_full_walk(x, [s])
+    chains = [
+        # run 30-39 straddles three successive blocks, run 40-45 two
+        [IntSet([(31, 33)]), IntSet([(35, 36)]), IntSet([(38, 41)]), IntSet([(43, 43)])],
+        # one block per run, then blocks with several runs between them
+        [IntSet([(6, 6)]), IntSet([(11, 12)]), IntSet([(20, 20)]), IntSet([(30, 30)])],
+        [IntSet([(5, 6)]), IntSet([(40, 41)]), IntSet([(50, 50)])],
+        [IntSet([(1, 2)]), IntSet([(9, 10), (13, 19)]), IntSet([(25, 31), (45, 45)])],
+    ]
+    for blocks in chains:
+        assert_block_sums_match_the_full_walk(x, blocks)
     rng = random.Random(7)
     for _ in range(500):
         y = rand_vector(rng, max_support=12, window=40)
         s = IntSet.from_iterable(rng.sample(range(1, 52), rng.randint(0, 12)))
-        assert list(_overlaps(y, s)) == list(reference_overlaps(y, s)), (y, s)
+        assert_block_sums_match_the_full_walk(y, [s])
+    for _ in range(500):
+        y = random_runs(rng, rng.randint(1, 10), 50)
+        points = sorted(rng.sample(range(1, 61), rng.randint(1, 16)))
+        cuts = sorted(rng.sample(range(1, len(points)), rng.randint(0, len(points) - 1)))
+        blocks = [
+            IntSet.from_iterable(points[a:b])
+            for a, b in zip([0, *cuts], [*cuts, len(points)])
+        ]
+        assert_block_sums_match_the_full_walk(y, blocks)
 
 
 def test_sigma_operator_examples():
