@@ -8,12 +8,14 @@ alongside the value.
 Arithmetic modes: with rational entries and an integral exponent the p-th
 powers of both norms are rational, so all comparisons run exactly on the
 powers ("exact" mode); the engines then run on |x|*L as ints, L the lcm of
-the denominators (see _on_ints), while the seminorms, the oracles and
-NormResult.check compute in x's own scalars and so check the engines
-independently.  Otherwise the powers are floats ("float" mode), compared
-within 1e-9 relative (floats_close); the Schreier scan still sums exactly.
-Every power is b ** e with e = _exponent(p, mode).  mu_p, beta_p and
-sigma_operator sum over sets in one walk over the runs of x (_block_sums).
+the denominators (see _on_ints), while the oracles compute in x's own
+scalars and the seminorms (so NormResult.check) sum ints over a common
+denominator they take from x's own entries (_scaled_abs), and so check the
+engines independently.  Otherwise the powers are floats ("float" mode),
+compared within 1e-9 relative (floats_close); the Schreier scan still sums
+exactly.  Every power is b ** e with e = _exponent(p, mode).  mu_p, beta_p
+and sigma_operator sum over sets in one walk over the runs of x
+(_block_sums).
 
 schreier_norm has one engine at every support size, an exact scan over the
 runs of x (_run_scan).  baernstein_norm runs a dynamic program over the
@@ -24,8 +26,9 @@ and cannot affect the remainder).  Its one pass keeps only the sum of those
 values (a running sum while the block takes every point between its ends,
 a bounded min-heap after that) and the first optimal last element of each
 block; following those gives the least optimal chain as the witness
-(_bp_dp).  Beyond the limit, for non-increasing |x| of any size, a
-two-sided bound that must be tight (_monotone_bp).
+(_bp_dp).  In exact mode the first points whose block may take every later
+point take them all, in closed form.  Beyond the limit, for non-increasing
+|x| of any size, a two-sided bound that must be tight (_monotone_bp).
 """
 
 from __future__ import annotations
@@ -176,14 +179,31 @@ def _block_sums(x: CoeffVector, blocks: Iterable[IntSet], f) -> Iterator[Pow]:
         yield s
 
 
+def _scaled_abs(x: CoeffVector, mode: str):
+    """(g, L) for the seminorms: in exact mode, when x has a Fraction entry,
+    L is the lcm of the denominators of x's entries and g(v) the int |v| * L,
+    so sums run on ints and the power is divided by L^p once; otherwise
+    (abs, None).  Independent of _on_ints, so the seminorms check it."""
+    if mode != "exact" or not any(isinstance(v, Fraction) for _, _, v in x.runs):
+        return abs, None
+    lcm = math.lcm(*(v.denominator for _, _, v in x.runs))
+    return (lambda v: abs(v.numerator) * (lcm // v.denominator)), lcm
+
+
 def mu_p_pow(x: CoeffVector, f, p, mode: str = "auto") -> Pow:
-    """Sum over F of |x(n)|^p.  F must be a Schreier set; empty F gives 0."""
+    """Sum over F of |x(n)|^p.  F must be a Schreier set; empty F gives 0.
+
+    In exact mode the result is an int when every entry of x is an int and a
+    Fraction otherwise, whichever runs F meets (as for NormResult.value_pow).
+    """
     fs = as_positive_intset(f)
     if not is_schreier(fs):
         raise InvalidInputError(f"{fs!r} is not a Schreier set")
     validate_exponent(p, SPACE_SCHREIER)
-    e = _exponent(p, resolve_mode(x, p, mode))
-    return next(_block_sums(x, [fs], lambda v: abs(v) ** e))
+    m = resolve_mode(x, p, mode)
+    e, (g, lcm) = _exponent(p, m), _scaled_abs(x, m)
+    total = next(_block_sums(x, [fs], lambda v: g(v) ** e))
+    return total if lcm is None else Fraction(total, lcm**e)
 
 
 def mu_p(x: CoeffVector, f, p, mode: str = "auto") -> float:
@@ -197,14 +217,18 @@ def _chain_blocks(chain) -> tuple[IntSet, ...]:
 
 
 def beta_p_pow(x: CoeffVector, chain, p, mode: str = "auto") -> Pow:
-    """Sum over the chain's blocks F of (sum_{n in F} |x(n)|)^p; needs p > 1."""
+    """Sum over the chain's blocks F of (sum_{n in F} |x(n)|)^p; needs p > 1.
+
+    The result type follows mu_p_pow's rule.
+    """
     validate_exponent(p, SPACE_BAERNSTEIN)
     blocks = _chain_blocks(chain)
-    e = _exponent(p, resolve_mode(x, p, mode))
+    m = resolve_mode(x, p, mode)
+    e, (g, lcm) = _exponent(p, m), _scaled_abs(x, m)
     total: Pow = 0
-    for s in _block_sums(x, blocks, abs):
+    for s in _block_sums(x, blocks, g):
         total = total + s**e
-    return total
+    return total if lcm is None else Fraction(total, lcm**e)
 
 
 def beta_p(x: CoeffVector, chain, p, mode: str = "auto") -> float:
@@ -470,6 +494,19 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
     take every point between, so their sums are one running sum and their
     values one list; only the later ends keep the budget largest values in
     a min-heap.  The witness walk ranks each block's body on its own.
+
+    In exact mode the first points i with pos[i] >= n - i (a suffix, since
+    pos[i] + i grows with i) are set in closed form: W[i] = (val[i] + ... + val[n-1]) ** e and last[i] =
+    n - 1, from a running sum, and the loop runs only below it.  The block
+    starting at pos[i] may hold all n - i points of i..n-1.  Any other chain
+    in those points starting at pos[i] has block sums s_1..s_k with
+    s_1 + ... + s_k <= S, S the sum of all of them, and with equality only
+    if it takes every point.  The values are positive and e is an integer
+    >= 2 (p > 1), so s -> s^e is strictly increasing and strictly
+    superadditive: s_1^e + ... + s_k^e < S^e unless k = 1 and the chain
+    takes every point.  So the single block is the unique optimum, and
+    hence also the least one.  Float mode keeps the full loop, because
+    rounding can tie or reorder near-equal candidates.
     """
     e = _exponent(p, mode)
     pairs = x.pairs()
@@ -479,7 +516,13 @@ def _bp_dp(x: CoeffVector, p, mode: str) -> tuple[Pow, SchreierChain]:
 
     W: list[Pow] = [0] * (n + 1)
     last = list(range(n))
-    for i in range(n - 1, -1, -1):
+    start, s = n, 0  # in exact mode the points from start on take the rest in one block
+    if mode == "exact":
+        while start and pos[start - 1] >= n - start + 1:
+            start -= 1
+            s += val[start]
+            W[start], last[start] = s**e, n - 1
+    for i in range(start - 1, -1, -1):
         vi, budget = val[i], pos[i] - 2  # points between the ends; none when pos[i] is 1
         best = vi**e + W[i + 1]  # the block {pos[i]}
         if budget >= 0:

@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import random
 import time
@@ -120,6 +119,8 @@ def _pmap(fn, tasks: list, jobs: int) -> list:
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    import multiprocessing  # here, so that a process that starts no pool does not load it
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers) as pool:
         return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))

@@ -7,13 +7,15 @@ the run scan that bisected inside each run, of the chain DP that rebuilt
 its witness in a second pass and of the chain DP that kept every block end
 on its heap, to the exhaustive oracle, to scaling
 invariance on every engine path, and to float values pinned bit for bit.
+The chain DP's closed-form exact suffix is also held to a brute force of
+the lemma behind it.
 """
 
 import random
 from bisect import bisect_left
 from heapq import heappush, heapreplace
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -488,6 +490,83 @@ def test_best_blocks_rise_with_their_last_point(data, kind):
         ends = range(i, len(pairs) if first >= 2 else i + 1)
         blocks = [_best_block(pairs, i, t) for t in ends]
         assert all(a < b for a, b in zip(blocks, blocks[1:]))
+
+
+def _seeded_exact_vector(rng, kind, n, start, max_gap=3):
+    entries, q = [], start
+    for _ in range(n):
+        a, d = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice(DENOMS)
+        v = {"int": a, "sign": a // abs(a), "frac": Fraction(a, d),
+             "mixed": rng.choice((a, Fraction(a, d)))}[kind]
+        entries.append((q, v))
+        q += rng.randint(1, max_gap)
+    return CoeffVector.from_entries(entries)
+
+
+def test_a_block_that_may_take_every_later_point_is_the_unique_best_chain():
+    """The lemma behind _bp_dp's closed-form suffix, by brute force: for each
+    first point i with pos[i] >= n - i, the one block of the points i..n-1 is
+    the only chain in those points that starts at pos[i] and attains the
+    maximum of sum(block sum of |x|)^p."""
+    rng = random.Random(2401)
+    checked = 0
+    for _ in range(60):
+        kind, n = rng.choice(("int", "sign", "frac")), rng.randint(1, 10)
+        x = _seeded_exact_vector(rng, kind, n, rng.randint(1, n + 1))
+        entries, pos = dict(x.items()), [q for q, _ in x.pairs()]
+        p = rng.choice((2, 3))
+        for i in range(n):
+            if pos[i] < n - i:
+                continue
+            whole = IntSet.from_iterable(pos[i:])
+            values = {
+                c.sets: sum(sum(abs(entries[q]) for q in b.iter_elements()) ** p for b in c.sets)
+                for c in sl.enumerate_chains(whole)
+                if c.sets[0].min == pos[i]
+            }
+            best = max(values.values())
+            assert [sets for sets, v in values.items() if v == best] == [(whole,)], (x, i, p)
+            checked += 1
+    assert checked > 150
+
+
+def test_chain_dp_with_its_closed_form_suffix_matches_the_two_pass_dp():
+    """Exact int, +-1, Fraction and mixed vectors whose closed-form suffix
+    is the whole support (supports from n on), the shortest one possible
+    (the dense support {1..n}, its upper half) or in between."""
+    rng = random.Random(2402)
+    for kind in ("int", "sign", "frac", "mixed"):
+        for n in (1, 2, 3, 7, 12, 30, 80):
+            for start, max_gap in ((n, 3), (n + 5, 2), (1, 1), (2, 2), (max(1, n // 3), 3)):
+                x = _seeded_exact_vector(rng, kind, n, start, max_gap)
+                for p in (2, 3):
+                    value, witness = _bp_dp(x, p, "exact")
+                    ref_value, ref_witness = reference_bp_dp(x, p, "exact")
+                    assert value == ref_value and type(value) is type(ref_value)
+                    assert witness == ref_witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_chain_dp_loops_only_below_the_closed_form_suffix(monkeypatch, mode):
+    """In exact mode the loop visits a first point i only when its block cannot
+    take all of i..n-1 (pos[i] < n - i); float mode visits every i.  Counted
+    by the loop's running sums, one per visited i with pos[i] >= 2."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(sl.norms, "accumulate", counted)
+    rng = random.Random(2403)
+    for n in (1, 2, 5, 9, 40):
+        for start in (1, 2, n - 1, n, n + 1):
+            x = _seeded_exact_vector(rng, "frac", n, max(1, start), 1)
+            pos = [q for q, _ in x.pairs()]
+            calls.clear()
+            _bp_dp(x, 2, mode)
+            skipped = (lambda i: pos[i] >= n - i) if mode == "exact" else (lambda i: False)
+            assert len(calls) == sum(1 for i in range(n) if pos[i] >= 2 and not skipped(i))
 
 
 def _first_maximizer(points):

@@ -86,6 +86,69 @@ def test_beta_p_requires_p_above_one():
         sl.schreier_norm(x, 0.5)
 
 
+def reference_run_by_run_pow(x, blocks, p, chain):
+    """mu_p^p of one block (chain False) or beta_p^p of a chain, summed run by
+    run in x's own scalars: ov * |v|^p or ov * |v| per run met."""
+    total = 0
+    for block in blocks:
+        s = 0
+        for ov, v in reference_overlaps(x, block):
+            s = s + ov * (abs(v) if chain else abs(v) ** p)
+        total = total + (s**p if chain else s)
+    return total
+
+
+def random_chain(rng, start, count):
+    """Up to count successive admissible blocks from start, with gaps."""
+    blocks, q = [], start
+    for _ in range(rng.randint(1, count)):
+        size = rng.randint(1, min(q, 6))
+        points = [q] + sorted(rng.sample(range(q + 1, q + 12), size - 1))
+        blocks.append(IntSet.from_iterable(points))
+        q = points[-1] + 1 + rng.randint(0, 3)
+    return blocks
+
+
+def assert_exact_seminorms_match_the_run_by_run_sums(x, blocks):
+    want_type = Fraction if any(isinstance(v, Fraction) for _, _, v in x.runs) else int
+    for p in (2, 3):
+        for block in blocks:
+            got = sl.mu_p_pow(x, block, p)
+            assert got == reference_run_by_run_pow(x, [block], p, False), (x, block, p)
+            assert type(got) is want_type
+        got = sl.beta_p_pow(x, blocks, p)
+        assert got == reference_run_by_run_pow(x, blocks, p, True), (x, blocks, p)
+        assert type(got) is want_type
+
+
+def test_exact_seminorms_match_the_run_by_run_sums():
+    """Int, Fraction and mixed run vectors, flat vectors (denominators 2^k)
+    and blocks that meet only the int runs of a mixed vector: the values are
+    the run-by-run sums, of type int when every entry of x is an int and
+    Fraction otherwise, whichever runs the blocks meet."""
+    rng = random.Random(2404)
+    for kind in ("int", "frac", "mixed") * 40:
+        runs, lo = [], rng.randint(1, 6)
+        for _ in range(rng.randint(1, 8)):
+            hi = lo + rng.randint(0, 6)
+            a, d = rng.choice((-5, -3, -1, 1, 2, 4)), rng.choice((1, 2, 3, 4, 7, 8, 12))
+            v = {"int": a, "frac": Fraction(a, d), "mixed": rng.choice((a, Fraction(a, d)))}[kind]
+            runs.append((lo, hi, v))
+            lo = hi + 1 + rng.choice((0, 0, 2))
+        x = CoeffVector(runs)
+        assert_exact_seminorms_match_the_run_by_run_sums(x, random_chain(rng, rng.randint(1, 5), 5))
+    for start, count in ((1, 1), (1, 6), (2, 5), (3, 4), (5, 3)):
+        chain = sl.maximal_chain_from(start, count)
+        flat = sl.flat_vector(chain, 2, "bp")
+        assert_exact_seminorms_match_the_run_by_run_sums(flat, list(chain.sets))
+        assert_exact_seminorms_match_the_run_by_run_sums(flat, random_chain(rng, start, 4))
+    mixed = CoeffVector([(2, 4, 3), (5, 9, Fraction(-1, 2)), (10, 20, -2), (21, 21, Fraction(5, 3))])
+    int_only = [IntSet([(2, 3)]), IntSet([(10, 15)]), IntSet([(16, 20)])]
+    assert_exact_seminorms_match_the_run_by_run_sums(mixed, int_only)
+    assert sl.mu_p_pow(mixed, int_only[1], 2) == Fraction(24)
+    assert sl.beta_p_pow(mixed, int_only, 2) == Fraction(36 + 144 + 100)
+
+
 # -- schreier norm ------------------------------------------------------------
 
 

@@ -1,7 +1,13 @@
 import inspect
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schreierlab
 from schreierlab import cli, suites
 from schreierlab.errors import InvalidInputError
 
@@ -91,10 +97,19 @@ class _FakeContext:
 )
 def test_pmap_starts_at_most_one_worker_per_cpu_and_task(monkeypatch, jobs, cpus, tasks, started):
     ctx = _FakeContext()
-    monkeypatch.setattr(suites.multiprocessing, "get_context", lambda _: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda _: ctx)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
     assert suites._pmap(lambda t: t * t, list(range(tasks)), jobs) == [t * t for t in range(tasks)]
     assert ctx.pool_sizes == started
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    src = str(Path(schreierlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, schreierlab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_a_tally_over_no_checks_fails():
