@@ -3,7 +3,8 @@ constructions, and the seeded verification suites.
 
 Exit codes: 0 success, 1 failed verification check, 2 parse/usage error,
 3 truncation (index set or partition not materialized far enough),
-4 oracle/size limit exceeded (float overflow, over-long integers), 5 internal error.
+4 oracle/size limit exceeded (float overflow, over-long integers), 5 internal error,
+141 standard output closed early by its reader (as for a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -295,7 +297,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): say nothing, and send what is
+        # still buffered to devnull so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TruncationError as exc:
         print(f"error (truncation): {exc}", file=sys.stderr)
         return EXIT_TRUNCATION

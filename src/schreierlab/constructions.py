@@ -130,7 +130,7 @@ def l_set(part: MPBPartition, n_idx: IndexSet, through: int) -> IndexSet:
             f"partition materialized through {part.n_max}, requested {through}"
         )
     members = takewhile(lambda n: n <= through, n_idx.elements())
-    ivs = [iv for n in members for iv in part.j(n).intervals]
+    ivs = [iv for n in members for half in (part.f(n), part.g(n)) for iv in half.intervals]
     return IndexSet.from_intset(IntSet(ivs), rule=f"L({n_idx.rule})<={through}")
 
 
@@ -190,13 +190,16 @@ def divergence_certificates(
 
     Certifies that the truncated index of (L_M, L_N) is at least the largest
     such m; with M\\N infinite the certified bound grows with the window.
-    L_M and L_N are built once for all the witnesses.
+    M and N are each read once up to the window, and L_M and L_N are built
+    once for all the witnesses.
     """
     if window > part.n_max:
         raise TruncationError(
             f"partition materialized through {part.n_max}, window {window}"
         )
-    ms = [m for m in range(2, window + 1) if m_idx.contains(m) and not n_idx.contains(m)]
+    in_m, in_n = (set(takewhile(lambda v: v <= window, idx.elements()))
+                  for idx in (m_idx, n_idx))
+    ms = [m for m in range(2, window + 1) if m in in_m and m not in in_n]
     if not ms:
         return []
     l_m, l_n = l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max)

@@ -23,7 +23,10 @@ from .vectors import CoeffVector, ints_from_json
 class IndexSet:
     """Strictly increasing integer sequence, read lazily from one stream.
 
-    `element(j)` pulls the stream into a cache up to its j-th element.
+    Every read of the stream goes through `_pull`, which checks the order and
+    appends to one shared cache: `element(j)` pulls up to the j-th element,
+    and `elements()` walks the cache and pulls at its end, so any number of
+    readers of one set (as in `union(a, a)`) read each element once.
     `limit` is the length when it is known in advance (explicit and interval
     sets and their doubles), None otherwise; a set never extrapolates past
     its end but raises TruncationError there.
@@ -106,31 +109,37 @@ class IndexSet:
                 f"requested element {j}"
             )
         while len(self._cache) < j:
-            nxt = next(self._stream, None)
-            if nxt is None:
+            if not self._pull():
                 raise TruncationError(
                     f"index set ({self.rule}) ends at length {len(self._cache)}, "
                     f"requested element {j}"
                 )
-            if self._cache and nxt <= self._cache[-1]:
-                raise InvalidInputError("index set rule is not strictly increasing")
-            self._cache.append(nxt)
         return self._cache[j - 1]
 
+    def _pull(self) -> bool:
+        """Append the stream's next element to the cache; False at its end."""
+        nxt = next(self._stream, None)
+        if nxt is None:
+            return False
+        cache = self._cache
+        if cache and nxt <= cache[-1]:
+            raise InvalidInputError("index set rule is not strictly increasing")
+        cache.append(nxt)
+        return True
+
     def elements(self) -> Iterator[int]:
-        """element(1), element(2), ..., stopping where element() would raise
+        """The elements in order, stopping exactly where element() would raise
         TruncationError.  Infinite for rule-backed sets, hence not __iter__."""
-        j = 1
-        while True:
-            try:
-                e = self.element(j)
-            except TruncationError:
-                return
-            yield e
+        cache, limit = self._cache, self._limit
+        j = 0
+        while j < len(cache) or ((limit is None or j < limit) and self._pull()):
+            yield cache[j]
             j += 1
 
     def prefix(self, k: int) -> tuple[int, ...]:
-        self.element(k)
+        """The first k elements; () for k = 0."""
+        if k:
+            self.element(k)
         return tuple(self._cache[:k])
 
     @property
@@ -161,7 +170,7 @@ class IndexSet:
             raise SizeLimitError(
                 f"refusing to materialize {k} elements (limit {MATERIALIZE_LIMIT})"
             )
-        return {"rule": self.rule, "prefix": list(self.prefix(k)) if k else []}
+        return {"rule": self.rule, "prefix": list(self.prefix(k))}
 
     def __repr__(self) -> str:
         return f"IndexSet({self.rule})"

@@ -4,7 +4,8 @@ Chains of maximal Schreier sets double in size, so the covering
 constructions routinely produce sets with 2^50 and more elements.  Nothing
 here costs O(#elements) or materializes elements unless explicitly asked to:
 building and comparing sets cost O(#intervals), and ordinal access bisects the
-cumulative interval sizes, which a set computes on its first ordinal query.
+cumulative interval sizes.  The constructor keeps those sums as it merges;
+a trusted slice (`_of`) computes them on its first ordinal query.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class IntSet:
 
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
         merged: list[tuple[int, int]] = []
+        ends: list[int] = []  # running size after each merged interval
         size = 0
         for lo, hi in sorted(intervals):
             if not isinstance(lo, int) or not isinstance(hi, int):
@@ -36,17 +38,20 @@ class IntSet:
                 if hi > phi:
                     merged[-1] = (plo, hi)
                     size += hi - phi
+                    ends[-1] = size
             else:
                 merged.append((lo, hi))
                 size += hi - lo + 1
+                ends.append(size)
         self._ivs: tuple[tuple[int, int], ...] = tuple(merged)
         self._size = size
-        self._ends: list[int] | None = None
+        self._ends: list[int] | None = ends
 
     @classmethod
     def _of(cls, ivs: tuple[tuple[int, int], ...], size: int) -> "IntSet":
         """Trusted constructor for intervals that are already sorted, disjoint
-        and non-adjacent, with `size` their total length: `_slice` output."""
+        and non-adjacent, with `size` their total length (`_slice` output, one
+        checked interval).  Its ordinal ends wait for the first ordinal query."""
         s = cls.__new__(cls)
         s._ivs, s._size, s._ends = ivs, size, None
         return s
@@ -58,7 +63,9 @@ class IntSet:
     @classmethod
     def interval(cls, lo: int, hi: int) -> "IntSet":
         """Closed integer interval [lo, hi]."""
-        return cls(((lo, hi),))
+        if isinstance(lo, int) and isinstance(hi, int) and lo <= hi:
+            return cls._of(((lo, hi),), hi - lo + 1)
+        return cls(((lo, hi),))  # raises the constructor's error
 
     @property
     def intervals(self) -> tuple[tuple[int, int], ...]:
@@ -103,7 +110,7 @@ class IntSet:
         return f"IntSet(<{self._size} elements in {len(self._ivs)} intervals>)"
 
     def _ordinal_ends(self) -> list[int]:
-        """Ordinal of each interval's last element, computed once per set."""
+        """Ordinal of each interval's last element, computed at most once per set."""
         if self._ends is None:
             self._ends = list(accumulate(hi - lo + 1 for lo, hi in self._ivs))
         return self._ends

@@ -129,9 +129,13 @@ class CoveringCertificate:
         """Check the chain, then its coverage of `covered` in O(intervals + blocks).
 
         The per-block checks run first; once the blocks are successive their
-        intervals, taken in chain order, are sorted and disjoint, so one
-        merge walk (`covers`) checks coverage without building the union.
+        intervals, taken in chain order, are sorted and disjoint, and joining
+        the two pieces that meet at each block boundary makes them the union's
+        normalized intervals.  A `tau1` certificate's union is its covered set,
+        so one tuple comparison settles it; any other union falls back to the
+        merge walk of `covers`.
         """
+        joined: list[tuple[int, int]] = []
         for i, block in enumerate(self.chain):
             if block.is_empty or block.size > block.min:
                 return False
@@ -139,9 +143,14 @@ class CoveringCertificate:
                 return False
             if i < len(self.chain) - 1 and block.size != block.min:
                 return False
-        return covers(
-            (iv for block in self.chain for iv in block.intervals), self.covered.intervals
-        )
+            ivs = block.intervals
+            if joined and joined[-1][1] + 1 == ivs[0][0]:
+                joined[-1] = (joined[-1][0], ivs[0][1])
+                joined.extend(ivs[1:])
+            else:
+                joined.extend(ivs)
+        covered = self.covered.intervals
+        return tuple(joined) == covered or covers(joined, covered)
 
     def to_json_obj(self) -> dict:
         return {

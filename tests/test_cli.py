@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +379,22 @@ def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 5
     assert out == ""
     assert err == "error (internal): RuntimeError: boom\n"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_a_silent_exit_141():
+    # `schreier-lab construct lset ... | head -c 100`: the L set's prefix is
+    # about 1.5 MB, far more than a pipe holds, so the writer meets the closed pipe
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["construct", "lset", "--N", "all", "--through", "14", "--n-max", "14",
+            "--prefix", "200000"]
+    proc = subprocess.Popen([sys.executable, "-m", "schreierlab", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b'{"prefix": [1, 2, 3,')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -71,26 +71,33 @@ def test_rule_sets():
         u2.element(4)
 
 
-def _count_element_calls(idx, calls):
-    inner = idx.element
+def _count_stream_reads(idx, reads):
+    """Record every element the set reads from its stream."""
+    inner = idx._stream
 
-    def counted(j):
-        calls.append(j)
-        return inner(j)
+    def counted():
+        for e in inner:
+            reads.append(e)
+            yield e
 
-    idx.element = counted
+    idx._stream = counted()
     return idx
 
 
 def test_union_merges_each_base_element_once():
-    calls = []
-    a = _count_element_calls(IndexSet.arithmetic(1, 3), calls)
-    b = _count_element_calls(IndexSet.arithmetic(2, 5), calls)
+    reads = []
+    a = _count_stream_reads(IndexSet.arithmetic(1, 3), reads)
+    b = _count_stream_reads(IndexSet.arithmetic(2, 5), reads)
     k = 4000
     got = IndexSet.union(a, b).prefix(k)
-    assert len(calls) <= 2 * k + 2
+    assert len(reads) <= 2 * k + 2
     want = sorted({1 + 3 * i for i in range(k)} | {2 + 5 * i for i in range(k)})[:k]
     assert got == tuple(want)
+    # both readers of one set share its cache: each element is read once
+    reads.clear()
+    c = _count_stream_reads(IndexSet.arithmetic(1, 3), reads)
+    assert IndexSet.union(c, c).prefix(k) == tuple(range(1, 3 * k, 3))
+    assert len(reads) <= k + 1
 
 
 def test_union_matches_sorted_set_union_on_random_prefixes():
@@ -182,11 +189,85 @@ def test_elements_walks_random_rule_trees():
             assert idx.contains(v) == (v in want)
 
 
-def test_elements_goes_through_element():
-    calls = []
-    idx = _count_element_calls(IndexSet.explicit([2, 5, 9]), calls)
-    assert list(idx.elements()) == [2, 5, 9]
-    assert calls == [1, 2, 3, 4]  # the fourth call raises and ends the walk
+def _first_truncated(idx) -> int:
+    """The least j at which idx.element(j) raises TruncationError."""
+    j = 1
+    while True:
+        try:
+            idx.element(j)
+        except sl.TruncationError:
+            return j
+        j += 1
+
+
+_FINITE_SETS = {
+    "explicit": lambda: IndexSet.explicit([2, 5, 9]),
+    "empty": lambda: IndexSet.explicit([]),
+    "intervals": lambda: IndexSet.from_intset(IntSet([(3, 5), (9, 9), (12, 13)])),
+    "doubled": lambda: IndexSet.doubled(IndexSet.explicit([1, 4, 6, 7])),
+    "doubled intervals": lambda: IndexSet.doubled_minus_one(
+        IndexSet.from_intset(IntSet([(2, 4), (8, 8)]))),
+    "union": lambda: IndexSet.union(IndexSet.explicit([1, 3]), IndexSet.explicit([2, 3, 5])),
+    "limit short of its stream": lambda: IndexSet("short", [1, 2, 3, 4], limit=2),
+}
+
+
+@pytest.mark.parametrize("make", _FINITE_SETS.values(), ids=_FINITE_SETS.keys())
+def test_elements_stops_where_element_raises(make):
+    stop = _first_truncated(make())
+    want = [make().element(j) for j in range(1, stop)]
+    assert list(make().elements()) == want
+    filled = make()  # a walk over a cache that element() already filled
+    assert filled.prefix(stop - 1) == tuple(want)
+    assert list(filled.elements()) == want
+    walked = make()  # element() after a walk that ran to the end
+    assert list(walked.elements()) == want
+    with pytest.raises(sl.TruncationError):
+        walked.element(stop)
+
+
+@pytest.mark.parametrize("read", [lambda idx: idx.element(3), lambda idx: list(idx.elements()),
+                                  lambda idx: list(IndexSet.doubled(idx).elements())],
+                         ids=["element", "elements", "doubled"])
+def test_a_non_increasing_stream_is_refused_by_every_reader(read):
+    idx = IndexSet("bad", [1, 4, 4, 7])
+    with pytest.raises(sl.InvalidInputError, match="^index set rule is not strictly increasing$"):
+        read(idx)
+    assert idx.prefix(2) == (1, 4)
+
+
+def test_element_interleaved_with_a_live_walk_reads_the_same_values():
+    rng = random.Random(109)
+    for _ in range(200):
+        idx, ref, _ = rand_rule_tree(rng)
+        want = ref(60)
+        got = []
+        for j, e in enumerate(islice(idx.elements(), len(want)), start=1):
+            ahead = min(len(want), j + rng.randint(0, 3))
+            assert idx.element(ahead) == want[ahead - 1]
+            got.append(e)
+        assert got == want
+
+
+def test_the_union_of_a_set_with_itself_is_the_set():
+    rng = random.Random(113)
+    for _ in range(200):
+        idx, ref, finite = rand_rule_tree(rng)
+        want = ref(60)
+        u = IndexSet.union(idx, idx)
+        assert list(islice(u.elements(), len(want))) == want
+        assert u.prefix(len(want)) == idx.prefix(len(want)) == tuple(want)
+        if finite:
+            assert list(u.elements()) == ref(10**6)
+
+
+def test_prefix_of_length_zero_is_empty():
+    for idx in (IndexSet.naturals(), IndexSet.explicit([]), IndexSet.explicit([2, 5])):
+        assert idx.prefix(0) == ()
+        assert idx.to_json_obj(0) == {"rule": idx.rule, "prefix": []}
+    assert IndexSet.explicit([]).to_json_obj() == {"rule": "explicit", "prefix": []}
+    with pytest.raises(sl.InvalidInputError, match="^index -1 must be >= 1$"):
+        IndexSet.naturals().prefix(-1)
 
 
 def test_elements_is_not_the_iteration_protocol():
@@ -223,6 +304,31 @@ def test_l_set_and_witness_offset_match_brute_force():
                     sl.divergence_witness(part, m_idx, n_idx, m)
             else:
                 assert sl.divergence_witness(part, m_idx, n_idx, m) == want
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except sl.TruncationError:
+        return "truncated"
+
+
+def test_divergence_certificates_certify_the_ms_contains_selects():
+    part = sl.mpb_partition(6)
+    certified = 0
+    for case in range(150):
+        # fresh copies of one (M, N) pair per call, so no call reads a cache another filled
+        pair = lambda: (rand_rule_tree(random.Random(2 * case))[0],
+                        rand_rule_tree(random.Random(2 * case + 1))[0])
+        for window in range(part.n_max + 1):
+            m_idx, n_idx = pair()
+            got = _outcome(lambda: sl.divergence_certificates(part, m_idx, n_idx, window))
+            m_ref, n_ref = pair()
+            ms = [m for m in range(2, window + 1) if m_ref.contains(m) and not n_ref.contains(m)]
+            want = _outcome(lambda: [(m, sl.divergence_witness(part, *pair(), m)) for m in ms])
+            assert got == want, (case, window)
+            certified += len(got) if got != "truncated" else 0
+    assert certified > 100
 
 
 def test_parse_index_rule():

@@ -1,7 +1,8 @@
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from schreierlab import IntSet, InvalidInputError, SizeLimitError
 from schreierlab.intset import EMPTY, as_intset, covers, successive
@@ -201,6 +202,36 @@ def test_invalid_intervals():
         IntSet([(5, 3)])
     with pytest.raises(InvalidInputError):
         IntSet.from_iterable([1.5])  # type: ignore[list-item]
+
+
+def _running_sizes(ivs):
+    return list(accumulate(hi - lo + 1 for lo, hi in ivs))
+
+
+@given(st.lists(st.tuples(st.integers(-30, 60), st.integers(0, 8)), max_size=10), st.data())
+@example([(9, 2), (1, 3), (5, 0), (3, 4), (12, 0)], None)  # unsorted, overlapping, adjacent
+def test_constructor_keeps_the_ordinal_ends_it_sums(raw, data):
+    s = IntSet((lo, lo + w) for lo, w in raw)
+    assert s._ends == _running_sizes(s.intervals)
+    if data is None or not s:
+        return
+    o1 = data.draw(st.integers(1, s.size))
+    o2 = data.draw(st.integers(o1, s.size))
+    part = IntSet._of(s._slice(o1, o2), o2 - o1 + 1)
+    assert part._ends is None  # a trusted slice waits for its first ordinal query
+    assert part._at(part.size) == part.max
+    assert part._ends == _running_sizes(part.intervals)
+
+
+def test_interval_checks_like_the_constructor():
+    assert IntSet.interval(3, 9) == IntSet([(3, 9)]) and IntSet.interval(3, 9).size == 7
+    assert IntSet.interval(2**64, 2**64).intervals == ((2**64, 2**64),)
+    for lo, hi in ((5, 3), (1.0, 3), (1, "3")):
+        with pytest.raises(InvalidInputError) as want:
+            IntSet([(lo, hi)])
+        with pytest.raises(InvalidInputError) as got:
+            IntSet.interval(lo, hi)
+        assert str(got.value) == str(want.value)
 
 
 def _two_pass_intset(intervals):

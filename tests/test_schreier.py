@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import schreierlab as sl
+import schreierlab.schreier as sch
 from schreierlab import IntSet
+from schreierlab.intset import covers, successive
 from schreierlab.schreier import _tau1_count_sorted
 
 
@@ -340,6 +342,89 @@ def test_certificate_verify_matches_union_check_on_mutations():
         outcomes.append(cert.verify())
         assert outcomes[-1] == _union_verify(cert), (chain, covered)
     assert 50 < sum(outcomes) < 350  # both outcomes are exercised
+
+
+def _walk_verify(cert):
+    """CoveringCertificate.verify before the tuple comparison: the same block
+    checks, then one `covers` merge walk over the blocks' intervals."""
+    for i, block in enumerate(cert.chain):
+        if block.is_empty or block.size > block.min:
+            return False
+        if i and not successive(cert.chain[i - 1], block):
+            return False
+        if i < len(cert.chain) - 1 and block.size != block.min:
+            return False
+    return covers((iv for block in cert.chain for iv in block.intervals),
+                  cert.covered.intervals)
+
+
+def _no_walk(*_):
+    raise AssertionError("the covers walk ran")
+
+
+@pytest.mark.parametrize(
+    "chain, covered, want, walks",
+    [
+        # the union [2, 7] strictly contains [3, 4]: only the walk can accept
+        ([[2, 3], [4, 5, 6, 7]], [3, 4], True, True),
+        # 4 is missing where the blocks [2, 3] and [5..9] meet
+        ([[2, 3], [5, 6, 7, 8, 9]], [2, 3, 4, 5, 6, 7, 8, 9], False, True),
+        # a block boundary splits the covered interval [1, 7] three ways
+        ([[1], [2, 3], [4, 5, 6, 7]], [1, 2, 3, 4, 5, 6, 7], True, False),
+        # boundaries that split one interval of a set with gaps
+        ([[3, 4, 9], [10, 11, 12, 20, 21, 22, 23, 24]], [3, 4, 9, 10, 11, 12, 20, 21, 22, 23, 24],
+         True, False),
+        ([], [], True, False),
+    ],
+)
+def test_certificate_verify_compares_the_joined_blocks_once(monkeypatch, chain, covered,
+                                                            want, walks):
+    cert = _cert(chain, covered)
+    assert _walk_verify(cert) == want
+    if not walks:
+        monkeypatch.setattr(sch, "covers", _no_walk)
+    assert cert.verify() == want
+
+
+def test_tau1_certificates_verify_without_the_walk(monkeypatch):
+    monkeypatch.setattr(sch, "covers", _no_walk)
+    rng = random.Random(23)
+    for _ in range(200):
+        s = _random_interval_set(rng, rng.randint(1, 25), rng.choice((60, 400, 2**40)))
+        assert sl.tau1(s)[1].verify()
+    assert sl.tau1(sl.EMPTY)[1].verify()
+
+
+def test_certificate_verify_matches_the_walk_on_perturbed_tau1_certificates():
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(600):
+        s = _random_interval_set(rng, rng.randint(1, 25), rng.choice((60, 400, 2**40)))
+        chain, covered = list(sl.tau1(s)[1].chain), s
+        j = rng.randrange(len(chain))
+        b = chain[j]
+        op = rng.randrange(4)
+        if op == 0:  # drop a point of one block
+            point = b._at(rng.randint(1, b.size))
+            chain[j] = IntSet(iv for iv in b.intervals for iv in _cut(iv, point))
+        elif op == 1:  # drop a covered point
+            point = s._at(rng.randint(1, s.size))
+            covered = IntSet(iv for iv in s.intervals for iv in _cut(iv, point))
+        else:  # shift one block by one point either way
+            d = 1 if op == 2 else -1
+            chain[j] = IntSet((lo + d, hi + d) for lo, hi in b.intervals if lo + d >= 1)
+        cert = sl.CoveringCertificate(tuple(chain), covered)
+        outcomes.append(cert.verify())
+        assert outcomes[-1] == _walk_verify(cert), (chain, covered)
+    assert 100 < sum(outcomes) < 500  # both outcomes are exercised
+
+
+def _cut(iv, point):
+    """The interval iv without the point."""
+    lo, hi = iv
+    if not lo <= point <= hi:
+        return [iv]
+    return [(a, b) for a, b in ((lo, point - 1), (point + 1, hi)) if a <= b]
 
 
 def _first_k(ivs, k):
