@@ -303,7 +303,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader stopped early (`| head`): say nothing, and send what is
         # still buffered to devnull so the interpreter's final flush is silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except TruncationError as exc:
         print(f"error (truncation): {exc}", file=sys.stderr)

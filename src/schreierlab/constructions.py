@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from .errors import (
     CannotSelectError,
     InvalidInputError,
@@ -97,41 +97,47 @@ class MPBPartition:
 def mpb_partition(n_max: int) -> MPBPartition:
     """Materialize the partition through index n_max.
 
-    Deterministic packing: each G_n starts right after F_n and stacks n
-    maximal intervals [s,2s), [2s,4s), ..., so G_n is the single interval
-    [s, s*2^n - 1].
+    Deterministic packing: F_n (n >= 2) takes as many points as precede it,
+    and each G_n starts right after F_n and stacks n maximal intervals
+    [s,2s), [2s,4s), ..., so G_n is the single interval [s, s*2^n - 1].
     """
     if n_max < 1:
         raise InvalidInputError("n_max must be positive")
-    f_sets: list[IntSet] = []
+    f_sets: list[IntSet] = [EMPTY]
     g_sets: list[IntSet] = []
-    pos = 1
-    consumed = 0
+    pos = 1  # the least point not yet placed
     for n in range(1, n_max + 1):
-        f_size = consumed if n >= 2 else 0
-        if f_size:
-            f_sets.append(IntSet.interval(pos, pos + f_size - 1))
-            pos += f_size
-        else:
-            f_sets.append(EMPTY)
-        g = IntSet.interval(pos, pos * (2**n) - 1)
-        g_sets.append(g)
-        consumed += f_size + g.size
-        pos = pos * (2**n)
+        if n >= 2:
+            f_sets.append(IntSet._of(((pos, 2 * pos - 2),), pos - 1))
+            pos = 2 * pos - 1
+        end = pos << n
+        g_sets.append(IntSet._of(((pos, end - 1),), end - pos))
+        pos = end
     return MPBPartition(tuple(f_sets), tuple(g_sets), n_max)
 
 
 def l_set(part: MPBPartition, n_idx: IndexSet, through: int) -> IndexSet:
-    """L_N = union of J_n over n in N with n <= through, as an index set."""
+    """L_N = union of J_n over n in N with n <= through, as an index set.
+
+    The J_n come in increasing n, so their intervals are already sorted and
+    disjoint; consecutive ones are adjacent and are joined as they come."""
     if through < 0:
         raise InvalidInputError("through must be non-negative")
     if through > part.n_max:
         raise TruncationError(
             f"partition materialized through {part.n_max}, requested {through}"
         )
-    members = takewhile(lambda n: n <= through, n_idx.elements())
-    ivs = [iv for n in members for half in (part.f(n), part.g(n)) for iv in half.intervals]
-    return IndexSet.from_intset(IntSet(ivs), rule=f"L({n_idx.rule})<={through}")
+    ivs: list[tuple[int, int]] = []
+    size = 0
+    for n in takewhile(lambda n: n <= through, n_idx.elements()):
+        f, g = part.f(n), part.g(n)
+        for lo, hi in f.intervals + g.intervals:
+            if ivs and ivs[-1][1] + 1 == lo:
+                lo = ivs.pop()[0]
+            ivs.append((lo, hi))
+        size += f.size + g.size
+    return IndexSet.from_intset(IntSet._of(tuple(ivs), size),
+                                rule=f"L({n_idx.rule})<={through}")
 
 
 def divergence_witness(part: MPBPartition, m_idx: IndexSet, n_idx: IndexSet, m: int) -> IntSet:
@@ -150,20 +156,21 @@ def divergence_witness(part: MPBPartition, m_idx: IndexSet, n_idx: IndexSet, m: 
     if n_idx.contains(m):
         raise InvalidInputError(f"{m} must lie in M\\N but belongs to N ({n_idx.rule})")
 
+    offset = sum(_j_size(part, n) for n in takewhile(lambda n: n < m, m_idx.elements()))
     return _certified_witness(
-        part, m_idx, l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max), m
+        part, l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max), m, offset
     )
 
 
-def _certified_witness(
-    part: MPBPartition, m_idx: IndexSet, l_m: IndexSet, l_n: IndexSet, m: int
-) -> IntSet:
+def _j_size(part: MPBPartition, n: int) -> int:
+    """|J_n| = |F_n| + |G_n|."""
+    return part.f(n).size + part.g(n).size
+
+
+def _certified_witness(part: MPBPartition, l_m: IndexSet, l_n: IndexSet, m: int,
+                       offset: int) -> IntSet:
     """divergence_witness after its membership checks, given L_M and L_N
-    built through part.n_max."""
-    # ordinal offset of J_m inside L_M
-    offset = sum(
-        part.f(n).size + part.g(n).size for n in takewhile(lambda n: n < m, m_idx.elements())
-    )
+    built through part.n_max and the ordinal offset of J_m inside L_M."""
     f_size = part.f(m).size
     g_size = part.g(m).size
     witness = IntSet.interval(offset + f_size + 1, offset + f_size + g_size)
@@ -190,20 +197,22 @@ def divergence_certificates(
 
     Certifies that the truncated index of (L_M, L_N) is at least the largest
     such m; with M\\N infinite the certified bound grows with the window.
-    M and N are each read once up to the window, and L_M and L_N are built
-    once for all the witnesses.
+    M and N are each read once up to the window, the offsets of the J_m
+    inside L_M are one prefix sum over M, and L_M and L_N are built once for
+    all the witnesses.
     """
     if window > part.n_max:
         raise TruncationError(
             f"partition materialized through {part.n_max}, window {window}"
         )
-    in_m, in_n = (set(takewhile(lambda v: v <= window, idx.elements()))
-                  for idx in (m_idx, n_idx))
-    ms = [m for m in range(2, window + 1) if m in in_m and m not in in_n]
+    in_m = list(takewhile(lambda v: v <= window, m_idx.elements()))
+    in_n = set(takewhile(lambda v: v <= window, n_idx.elements()))
+    offsets = dict(zip(in_m, accumulate((_j_size(part, n) for n in in_m), initial=0)))
+    ms = [m for m in in_m if m >= 2 and m not in in_n]
     if not ms:
         return []
     l_m, l_n = l_set(part, m_idx, part.n_max), l_set(part, n_idx, part.n_max)
-    return [(m, _certified_witness(part, m_idx, l_m, l_n, m)) for m in ms]
+    return [(m, _certified_witness(part, l_m, l_n, m, offsets[m])) for m in ms]
 
 
 # -- extremal family for the three-norm inequality -----------------------------

@@ -10,7 +10,9 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from bisect import bisect_right
+from itertools import chain, count, islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, SizeLimitError, TruncationError
@@ -20,16 +22,21 @@ from .schreier import _tau1_count_sorted, as_positive_intset
 from .vectors import CoeffVector, ints_from_json
 
 
+# elements() pulls this many past the cache first, doubling up to the cap
+_FIRST_CHUNK, _MAX_CHUNK = 16, 4096
+
+
 class IndexSet:
     """Strictly increasing integer sequence, read lazily from one stream.
 
-    Every read of the stream goes through `_pull`, which checks the order and
-    appends to one shared cache: `element(j)` pulls up to the j-th element,
-    and `elements()` walks the cache and pulls at its end, so any number of
-    readers of one set (as in `union(a, a)`) read each element once.
-    `limit` is the length when it is known in advance (explicit and interval
-    sets and their doubles), None otherwise; a set never extrapolates past
-    its end but raises TruncationError there.
+    Every read of the stream goes through `_pull(n)`, which takes up to n
+    elements at once, checks their order in one comparison and appends them
+    to one shared cache: `element(j)` pulls all it lacks in one call, and
+    `elements()` walks the cache and pulls at its end in doubling chunks, so
+    any number of readers of one set (as in `union(a, a)`) read each element
+    once.  `limit` is the length when it is known in advance (explicit and
+    interval sets and their doubles), None otherwise; a set never
+    extrapolates past its end but raises TruncationError there.
     """
 
     def __init__(self, rule: str, stream: Iterable[int], limit: int | None = None,
@@ -37,6 +44,9 @@ class IndexSet:
         self.rule = rule
         self._stream = iter(stream)
         self._cache: list[int] = []
+        # the cache length the running pull fills up to, in a cell that the
+        # streams of derived sets share, so a set and its stream form no cycle
+        self._want = [0]
         self._limit = limit
         self._intset = intset  # interval-backed sets select ordinals directly
 
@@ -72,27 +82,24 @@ class IndexSet:
     @classmethod
     def doubled(cls, base: "IndexSet") -> "IndexSet":
         """2M = {2m : m in M}."""
-        return cls(f"2*({base.rule})", (2 * m for m in base.elements()), base._limit)
+        return cls._derived(f"2*({base.rule})", _doubled, base, 0, limit=base._limit)
 
     @classmethod
     def doubled_minus_one(cls, base: "IndexSet") -> "IndexSet":
         """2M-1 = {2m-1 : m in M}."""
-        return cls(f"2*({base.rule})-1", (2 * m - 1 for m in base.elements()), base._limit)
+        return cls._derived(f"2*({base.rule})-1", _doubled, base, 1, limit=base._limit)
 
     @classmethod
     def union(cls, a: "IndexSet", b: "IndexSet") -> "IndexSet":
-        def merge() -> Iterator[int]:
-            ita, itb = a.elements(), b.elements()
-            av, bv = next(ita, None), next(itb, None)
-            while av is not None or bv is not None:
-                e = bv if av is None or (bv is not None and bv < av) else av
-                yield e
-                if av == e:
-                    av = next(ita, None)
-                if bv == e:
-                    bv = next(itb, None)
+        return cls._derived(f"({a.rule})|({b.rule})", _merged, a, b)
 
-        return cls(f"({a.rule})|({b.rule})", merge())
+    @classmethod
+    def _derived(cls, rule: str, chunks, *args, limit: int | None = None) -> "IndexSet":
+        """A set whose stream is the chunks of `chunks(want, *args)`, each read
+        from other sets as far as this set's running pull wants (`want[0]`)."""
+        u = cls(rule, (), limit)
+        u._stream = chain.from_iterable(chunks(u._want, *args))
+        return u
 
     @classmethod
     def from_intset(cls, s: IntSet, rule: str = "intervals") -> "IndexSet":
@@ -108,33 +115,58 @@ class IndexSet:
                 f"index set ({self.rule}) is materialized through {self._limit}, "
                 f"requested element {j}"
             )
-        while len(self._cache) < j:
-            if not self._pull():
+        cache = self._cache
+        if len(cache) < j:
+            self._pull(j - len(cache))
+            if len(cache) < j:
                 raise TruncationError(
-                    f"index set ({self.rule}) ends at length {len(self._cache)}, "
+                    f"index set ({self.rule}) ends at length {len(cache)}, "
                     f"requested element {j}"
                 )
-        return self._cache[j - 1]
+        return cache[j - 1]
 
-    def _pull(self) -> bool:
-        """Append the stream's next element to the cache; False at its end."""
-        nxt = next(self._stream, None)
-        if nxt is None:
-            return False
+    def _pull(self, n: int) -> bool:
+        """Append up to n more stream elements (never past `limit`) to the
+        cache; False if none came.  A chunk that breaks the order keeps the
+        elements before the offending one and raises."""
         cache = self._cache
-        if cache and nxt <= cache[-1]:
+        if self._limit is not None:
+            n = min(n, self._limit - len(cache))
+            if n <= 0:
+                return False
+        self._want[0] = len(cache) + n
+        got = list(islice(self._stream, n))
+        if got and (cache and got[0] <= cache[-1] or not all(map(lt, got, got[1:]))):
+            run = cache[-1:] + got
+            bad = list(map(lt, run, run[1:])).index(False)
+            cache.extend(run[len(run) - len(got) : bad + 1])
             raise InvalidInputError("index set rule is not strictly increasing")
-        cache.append(nxt)
-        return True
+        cache.extend(got)
+        return bool(got)
+
+    def _read(self, n: int) -> list[int]:
+        """The cache, pulled until it holds n elements or the set ends."""
+        if len(self._cache) < n:
+            self._pull(n - len(self._cache))
+        return self._cache
 
     def elements(self) -> Iterator[int]:
         """The elements in order, stopping exactly where element() would raise
-        TruncationError.  Infinite for rule-backed sets, hence not __iter__."""
-        cache, limit = self._cache, self._limit
-        j = 0
-        while j < len(cache) or ((limit is None or j < limit) and self._pull()):
-            yield cache[j]
-            j += 1
+        TruncationError.  Infinite for rule-backed sets, hence not __iter__.
+        Past the cache it pulls _FIRST_CHUNK elements, then twice as many
+        each time up to _MAX_CHUNK, so a walker that takes k elements reads
+        at most 2k + _FIRST_CHUNK."""
+        cache = self._cache
+        j, chunk = 0, _FIRST_CHUNK
+        while True:
+            if j < len(cache):
+                part = cache[j:]
+                j += len(part)
+                yield from part
+            elif self._pull(chunk):
+                chunk = min(2 * chunk, _MAX_CHUNK)
+            else:
+                return
 
     def prefix(self, k: int) -> tuple[int, ...]:
         """The first k elements; () for k = 0."""
@@ -174,6 +206,43 @@ class IndexSet:
 
     def __repr__(self) -> str:
         return f"IndexSet({self.rule})"
+
+
+def _merged(want: list[int], a: IndexSet, b: IndexSet) -> Iterator[list[int]]:
+    """The chunks of a | b, merged from prefixes of the bases.
+
+    Each round reads the first k = `want[0]` elements of each base: the
+    union's first k elements are among them, and are at most the smaller last
+    element of a base's full prefix (all of a base that ended short).  The
+    round's chunk is, sorted, the elements up to that bound that no earlier
+    chunk held.
+    """
+    ca, cb = a._cache, b._cache
+    ia = ib = 0  # the elements of a and of b emitted so far
+    while True:
+        k = max(want[0], ia + ib + 1)
+        a._read(k)
+        b._read(k)
+        pa, pb = ca[ia:k], cb[ib:k]
+        if len(ca) >= k and (len(cb) < k or pa[-1] <= pb[-1]):
+            pb = pb[: bisect_right(pb, pa[-1])]
+        elif len(cb) >= k:
+            pa = pa[: bisect_right(pa, pb[-1])]
+        elif not (pa or pb):
+            return
+        ia += len(pa)
+        ib += len(pb)
+        yield sorted(set(pa).union(pb))
+
+
+def _doubled(want: list[int], base: IndexSet, shift: int) -> Iterator[list[int]]:
+    """The chunks of {2m - shift : m in base}, read from the base as far as
+    `want[0]` asks."""
+    cache, i = base._cache, 0
+    while len(base._read(max(want[0], i + 1))) > i:
+        part = cache[i:]
+        i += len(part)
+        yield [2 * m - shift for m in part]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, SizeLimitError
@@ -121,14 +121,16 @@ class IntSet:
         i = bisect_left(ends, o)
         return self._ivs[i][1] - (ends[i] - o)
 
-    def _slice(self, o1: int, o2: int) -> tuple[tuple[int, int], ...]:
+    def _slice(self, o1: int, o2: int, start: int = 0) -> tuple[tuple[int, int], ...]:
         """Intervals holding the o1-th through o2-th smallest elements (1-based).
 
-        Two bisections and one tuple slice with its end intervals trimmed; the
-        caller checks 1 <= o1 <= o2 <= size.
+        Two bisections, from the interval index `start` (a caller cutting
+        successive slices passes the previous one's), and one tuple slice with
+        its end intervals trimmed; the caller checks 1 <= o1 <= o2 <= size.
         """
-        ends = self._ordinal_ends()
-        i, j = bisect_left(ends, o1), bisect_left(ends, o2)
+        ends = self._ends or self._ordinal_ends()
+        i = bisect_left(ends, o1, start)
+        j = bisect_left(ends, o2, i)
         ivs = self._ivs
         first = ivs[i][1] - (ends[i] - o1)
         last = ivs[j][1] - (ends[j] - o2)
@@ -164,8 +166,7 @@ class IntSet:
         return covers(other._ivs, self._ivs)
 
     def iter_elements(self) -> Iterator[int]:
-        for lo, hi in self._ivs:
-            yield from range(lo, hi + 1)
+        return chain.from_iterable(range(lo, hi + 1) for lo, hi in self._ivs)
 
     def to_list(self) -> list[int]:
         if self._size > MATERIALIZE_LIMIT:

@@ -9,6 +9,7 @@ max F_j < min F_{j+1}.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -128,7 +129,9 @@ class CoveringCertificate:
     def verify(self) -> bool:
         """Check the chain, then its coverage of `covered` in O(intervals + blocks).
 
-        The per-block checks run first; once the blocks are successive their
+        Each block's intervals and size are read once: it must be non-empty
+        and Schreier, maximal unless it is the last, and start after the
+        previous block's maximum.  Once the blocks are successive their
         intervals, taken in chain order, are sorted and disjoint, and joining
         the two pieces that meet at each block boundary makes them the union's
         normalized intervals.  A `tau1` certificate's union is its covered set,
@@ -136,19 +139,23 @@ class CoveringCertificate:
         merge walk of `covers`.
         """
         joined: list[tuple[int, int]] = []
+        last = len(self.chain) - 1
         for i, block in enumerate(self.chain):
-            if block.is_empty or block.size > block.min:
+            ivs, size = block.intervals, block.size
+            if not ivs:
                 return False
-            if i and not successive(self.chain[i - 1], block):
+            lo = ivs[0][0]
+            if size > lo or (i < last and size != lo):
                 return False
-            if i < len(self.chain) - 1 and block.size != block.min:
-                return False
-            ivs = block.intervals
-            if joined and joined[-1][1] + 1 == ivs[0][0]:
-                joined[-1] = (joined[-1][0], ivs[0][1])
-                joined.extend(ivs[1:])
-            else:
-                joined.extend(ivs)
+            if joined:
+                plo, phi = joined[-1]
+                if phi >= lo:
+                    return False
+                if phi + 1 == lo:
+                    joined[-1] = (plo, ivs[0][1])
+                    joined.extend(ivs[1:])
+                    continue
+            joined.extend(ivs)
         covered = self.covered.intervals
         return tuple(joined) == covered or covers(joined, covered)
 
@@ -169,16 +176,21 @@ def tau1(a) -> tuple[int, CoveringCertificate]:
     tau1 is monotone under spreads.  Optimality is nevertheless contract-
     tested against tau1_oracle rather than trusted.
 
-    Each block costs three bisections of the set's cumulative interval sizes
-    and one slice of its intervals, so a call costs O(blocks * log intervals
-    + intervals) at any element count.
+    Each block costs three bisections of the set's cumulative interval sizes,
+    each starting at the previous block's first interval, and one slice of
+    its intervals, so a call costs O(blocks * log intervals + intervals) at
+    any element count.
     """
     s = as_positive_intset(a)
     blocks: list[IntSet] = []
-    n, o = s.size, 1  # o: ordinal of the least uncovered element
+    ivs, ends = s.intervals, s._ordinal_ends()
+    n, o, i = s.size, 1, 0  # o: ordinal of the least uncovered element, in ivs[i]
     while o <= n:
-        k = min(s._at(o), n - o + 1)
-        blocks.append(IntSet._of(s._slice(o, o + k - 1), k))
+        i = bisect_left(ends, o, i)
+        k = ivs[i][1] - (ends[i] - o)  # the block's minimum, capped by what is left
+        if k > n - o:
+            k = n - o + 1
+        blocks.append(IntSet._of(s._slice(o, o + k - 1, i), k))
         o += k
     cert = CoveringCertificate(chain=tuple(blocks), covered=s)
     return len(blocks), cert

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -388,13 +389,33 @@ def test_a_reader_that_closes_the_pipe_early_gets_a_silent_exit_141():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["construct", "lset", "--N", "all", "--through", "14", "--n-max", "14",
             "--prefix", "200000"]
-    proc = subprocess.Popen([sys.executable, "-m", "schreierlab", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(100).startswith(b'{"prefix": [1, 2, 3,')
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen([sys.executable, "-m", "schreierlab", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b'{"prefix": [1, 2, 3,')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_the_broken_pipe_handler_closes_the_devnull_descriptor(monkeypatch):
+    # os.open, os.dup2 and os.close are stubs here, so no real descriptor
+    # of the test process is touched
+    calls = []
+    monkeypatch.setattr(os, "open", lambda path, flags: calls.append(("open", path)) or 1234)
+    monkeypatch.setattr(os, "dup2", lambda fd, fd2: calls.append(("dup2", fd, fd2)))
+    monkeypatch.setattr(os, "close", lambda fd: calls.append(("close", fd)))
+
+    class ClosedPipe(io.StringIO):
+        def fileno(self):
+            return 99
+
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["tau", "--set", "[1, 2]"]) == 141
+    assert calls == [("open", os.devnull), ("dup2", 1234, 99), ("close", 1234)]
 
 
 @pytest.mark.parametrize(

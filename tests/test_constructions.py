@@ -95,6 +95,23 @@ def test_mpb_partition_invariants():
     assert union == IntSet.interval(1, union.max)
 
 
+def test_mpb_partition_is_the_closed_form_through_60():
+    for n_max in (1, 2, 7, 60):
+        part = sl.mpb_partition(n_max)
+        placed = 0  # the points of every set before the current one
+        for n in range(1, n_max + 1):
+            f, g = part.f(n), part.g(n)
+            assert f.size == (placed if n >= 2 else 0)
+            if f:
+                assert f.intervals == ((placed + 1, 2 * placed),)
+                placed = f.max
+            s = placed + 1
+            assert g.intervals == ((s, s * 2**n - 1),) and g.size == s * 2**n - s
+            placed = g.max
+        sets = [x for n in range(1, n_max + 1) for x in (part.f(n), part.g(n)) if x]
+        assert all(a.max + 1 == b.min for a, b in zip(sets, sets[1:]))
+
+
 def test_mpb_partition_serialization():
     obj = sl.mpb_partition(2).to_json_obj()
     assert obj["F"] == [[], [[2, 2]]]

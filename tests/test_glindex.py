@@ -1,10 +1,13 @@
+import gc
 import random
+import weakref
 from itertools import islice
 
 import pytest
 
 import schreierlab as sl
 from schreierlab import IndexSet, IntSet
+from schreierlab.glindex import _FIRST_CHUNK
 from schreierlab.intset import MATERIALIZE_LIMIT
 
 
@@ -98,6 +101,66 @@ def test_union_merges_each_base_element_once():
     c = _count_stream_reads(IndexSet.arithmetic(1, 3), reads)
     assert IndexSet.union(c, c).prefix(k) == tuple(range(1, 3 * k, 3))
     assert len(reads) <= k + 1
+
+
+def test_every_reader_reads_each_stream_element_once_into_the_cache():
+    reads = []
+    a = _count_stream_reads(IndexSet.arithmetic(1, 3), reads)
+    assert a.element(5) == 13
+    assert list(islice(a.elements(), 40))[-1] == 118
+    assert IndexSet.union(a, a).prefix(70)[-1] == 208
+    assert IndexSet.doubled(a).prefix(90)[-1] == 2 * 268
+    assert a.contains(301) and not a.contains(302)
+    assert a.select([3, 100]) == IntSet.from_iterable([7, 298])
+    assert reads == a._cache
+
+
+def test_a_walker_reads_at_most_twice_what_it_takes_plus_a_chunk():
+    for k in (1, 15, 16, 17, 100, 1000, 20000):
+        reads = []
+        idx = _count_stream_reads(IndexSet.naturals(), reads)
+        assert sum(1 for _ in islice(idx.elements(), k)) == k
+        assert len(reads) <= 2 * k + _FIRST_CHUNK
+        reads.clear()
+        idx = _count_stream_reads(IndexSet.evens(), reads)
+        assert idx.contains(2 * k)  # takes k elements
+        assert len(reads) <= 2 * k + _FIRST_CHUNK
+
+
+def test_unions_of_unequal_finite_sets_match_the_sorted_set_reference():
+    rng = random.Random(17)
+    for _ in range(100):
+        lx, ly = rng.sample(range(0, 40), 2)
+        xs = rand_prefix(rng, lx) if lx else []
+        ys = rand_prefix(rng, ly) if ly else []
+        want = sorted(set(xs) | set(ys))
+        make = lambda: IndexSet.union(IndexSet.explicit(xs), IndexSet.explicit(ys))
+        assert make().prefix(len(want)) == tuple(want)
+        assert list(make().elements()) == want
+        fresh, filled = make(), make()
+        filled.prefix(len(want))
+        for u in (fresh, filled):
+            j = len(want) + rng.randint(1, 50)
+            with pytest.raises(sl.TruncationError,
+                               match=rf" ends at length {len(want)}, requested element {j}$"):
+                u.element(j)
+
+
+def test_derived_sets_are_freed_without_the_cycle_collector():
+    # a union or doubled set and its stream form no reference cycle, so its
+    # cache goes when the last reference does
+    for make in (lambda: IndexSet.union(IndexSet.odds(), IndexSet.evens()),
+                 lambda: IndexSet.doubled(IndexSet.odds()),
+                 lambda: IndexSet.doubled_minus_one(IndexSet.explicit([1, 4, 6]))):
+        gc.disable()
+        try:
+            idx = make()
+            idx.prefix(3)
+            ref = weakref.ref(idx)
+            del idx
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_union_matches_sorted_set_union_on_random_prefixes():
@@ -226,9 +289,10 @@ def test_elements_stops_where_element_raises(make):
         walked.element(stop)
 
 
-@pytest.mark.parametrize("read", [lambda idx: idx.element(3), lambda idx: list(idx.elements()),
+@pytest.mark.parametrize("read", [lambda idx: idx.element(3), lambda idx: idx.element(4),
+                                  lambda idx: list(idx.elements()),
                                   lambda idx: list(IndexSet.doubled(idx).elements())],
-                         ids=["element", "elements", "doubled"])
+                         ids=["element", "bulk element", "elements", "doubled"])
 def test_a_non_increasing_stream_is_refused_by_every_reader(read):
     idx = IndexSet("bad", [1, 4, 4, 7])
     with pytest.raises(sl.InvalidInputError, match="^index set rule is not strictly increasing$"):
